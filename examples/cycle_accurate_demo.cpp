@@ -3,7 +3,7 @@
 // dedicated links -- at cycle granularity, with optional background memory
 // traffic loading the interconnect.
 //
-//   $ ./build/examples/cycle_accurate_demo [--slots=10000] [--util=0.6]
+//   $ ./build/examples/cycle_accurate_demo [--slots=4000] [--util=0.6]
 //         [--vms=8] [--bg=0.002]
 #include <iostream>
 

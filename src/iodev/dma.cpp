@@ -67,7 +67,7 @@ sim::Activity DmaEngine::tick(Cycle now) {
   // port belongs to that channel until the burst's cycles elapse.
   if (!bus_owner_) {
     const auto winner = arbitrate();
-    if (!winner) return activity();
+    if (!winner) return current_activity();
     bus_owner_ = winner;
     Channel& ch = channels_[*winner];
     if (!ch.active) {
@@ -94,7 +94,7 @@ sim::Activity DmaEngine::tick(Cycle now) {
   if (!a.setup_done) {
     if (--a.setup_cycles_left == 0) a.setup_done = true;
     if (a.setup_done) a.burst_cycles_left = config_.cycles_per_burst;
-    return activity();
+    return current_activity();
   }
 
   IOGUARD_CHECK(a.burst_cycles_left > 0);
@@ -113,7 +113,7 @@ sim::Activity DmaEngine::tick(Cycle now) {
     }
     bus_owner_.reset();  // re-arbitrate at the next burst boundary
   }
-  return activity();
+  return current_activity();
 }
 
 }  // namespace ioguard::iodev

@@ -62,9 +62,6 @@ class DmaEngine : public sim::Tickable {
 
   sim::Activity tick(Cycle now) override;
   [[nodiscard]] std::string name() const override { return "dma"; }
-  [[nodiscard]] sim::Activity activity() const override {
-    return idle() ? sim::Activity::kQuiescent : sim::Activity::kBusy;
-  }
 
   [[nodiscard]] std::size_t backlog(std::uint32_t channel) const;
   [[nodiscard]] bool idle() const;
@@ -88,6 +85,11 @@ class DmaEngine : public sim::Tickable {
 
   /// Picks the channel to receive the next burst slot.
   [[nodiscard]] std::optional<std::uint32_t> arbitrate();
+
+  /// What tick() reports: busy until every channel drains.
+  [[nodiscard]] sim::Activity current_activity() const {
+    return idle() ? sim::Activity::kQuiescent : sim::Activity::kBusy;
+  }
 
   DmaConfig config_;
   std::vector<Channel> channels_;

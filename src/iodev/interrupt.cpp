@@ -40,7 +40,7 @@ bool InterruptController::pending() const {
 
 sim::Activity InterruptController::tick(Cycle now) {
   if (in_flight_) {
-    if (now < dispatch_done_at_) return activity();
+    if (now < dispatch_done_at_) return current_activity();
     Line& l = lines_[*in_flight_];
     InterruptEvent e;
     e.line = *in_flight_;
@@ -52,7 +52,7 @@ sim::Activity InterruptController::tick(Cycle now) {
     in_flight_.reset();
     ++delivered_;
     if (handler_) handler_(e);
-    return activity();
+    return current_activity();
   }
 
   // Highest priority = lowest line index among raised & unmasked lines whose
@@ -65,9 +65,9 @@ sim::Activity InterruptController::tick(Cycle now) {
       continue;
     in_flight_ = i;
     dispatch_done_at_ = now + config_.dispatch_cycles;
-    return activity();
+    return current_activity();
   }
-  return activity();
+  return current_activity();
 }
 
 }  // namespace ioguard::iodev

@@ -49,10 +49,6 @@ class InterruptController : public sim::Tickable {
 
   sim::Activity tick(Cycle now) override;
   [[nodiscard]] std::string name() const override { return "intc"; }
-  [[nodiscard]] sim::Activity activity() const override {
-    return pending() || in_flight_ ? sim::Activity::kBusy
-                                   : sim::Activity::kQuiescent;
-  }
 
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
   [[nodiscard]] bool pending() const;
@@ -64,6 +60,12 @@ class InterruptController : public sim::Tickable {
     std::uint64_t count = 0;
     Cycle first_raised_at = 0;
   };
+
+  /// What tick() reports: busy while a line is pending or dispatching.
+  [[nodiscard]] sim::Activity current_activity() const {
+    return pending() || in_flight_ ? sim::Activity::kBusy
+                                   : sim::Activity::kQuiescent;
+  }
 
   InterruptConfig config_;
   std::vector<Line> lines_;

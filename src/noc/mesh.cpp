@@ -75,6 +75,9 @@ Mesh::Mesh(const MeshConfig& config) : config_(config) {
 
   routers_.reserve(n);
   nics_.reserve(n);
+  router_awake_.assign(n, 0);
+  nic_awake_.assign(n, 0);
+  busy_.assign(2 * n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId id{static_cast<std::uint32_t>(i)};
     routers_.push_back(std::make_unique<Router>(
@@ -91,25 +94,29 @@ Mesh::Mesh(const MeshConfig& config) : config_(config) {
     r.connect_in(Port::kLocal, nic.to_router());
     r.connect_out(Port::kLocal, nic.from_router(),
                   static_cast<std::uint32_t>(nic.fifo_depth()));
+    nic.to_router()->set_wake_flag(&router_awake_[i]);
+    nic.from_router()->set_wake_flag(&nic_awake_[i]);
   }
 
   // Wire inter-router links (bidirectional neighbours).
-  auto wire = [&](Router& a, Port ap, Router& b, Port bp) {
+  auto wire = [&](NodeId a, Port ap, NodeId b, Port bp) {
     links_.push_back(std::make_unique<Link>());
     Link* ab = links_.back().get();
-    a.connect_out(ap, ab, static_cast<std::uint32_t>(config_.fifo_depth));
-    b.connect_in(bp, ab);
+    routers_[a.value]->connect_out(
+        ap, ab, static_cast<std::uint32_t>(config_.fifo_depth));
+    routers_[b.value]->connect_in(bp, ab);
+    ab->set_wake_flag(&router_awake_[b.value]);
   };
   for (int y = 0; y < config_.height; ++y) {
     for (int x = 0; x < config_.width; ++x) {
-      Router& here = *routers_[static_cast<std::size_t>(node_at(x, y).value)];
+      const NodeId here = node_at(x, y);
       if (x + 1 < config_.width) {
-        Router& east = *routers_[static_cast<std::size_t>(node_at(x + 1, y).value)];
+        const NodeId east = node_at(x + 1, y);
         wire(here, Port::kEast, east, Port::kWest);
         wire(east, Port::kWest, here, Port::kEast);
       }
       if (y + 1 < config_.height) {
-        Router& south = *routers_[static_cast<std::size_t>(node_at(x, y + 1).value)];
+        const NodeId south = node_at(x, y + 1);
         wire(here, Port::kSouth, south, Port::kNorth);
         wire(south, Port::kNorth, here, Port::kSouth);
       }
@@ -151,6 +158,8 @@ void Mesh::send(Packet packet, Cycle now) {
   IOGUARD_CHECK(packet.dst.value < node_count());
   if (packet.id == 0) packet.id = next_packet_id_++;
   nics_[packet.src.value]->send(packet, now);
+  nic_awake_[packet.src.value] = 1;
+  mark_busy(node_count() + packet.src.value, true);
 }
 
 void Mesh::set_delivery_handler(NodeId node, Nic::DeliveryHandler handler) {
@@ -163,10 +172,36 @@ void Mesh::set_delivery_handler(NodeId node, Nic::DeliveryHandler handler) {
       });
 }
 
+void Mesh::mark_busy(std::size_t component, bool busy) {
+  if (busy_[component] == busy) return;
+  busy_[component] = busy;
+  if (busy) {
+    ++busy_count_;
+  } else {
+    --busy_count_;
+  }
+}
+
 sim::Activity Mesh::tick(Cycle now) {
-  for (auto& r : routers_) r->tick(now);
-  for (auto& nic : nics_) nic->tick(now);
-  return activity();
+  // Routers, then NICs, each in node order, as a dense tick of all of them
+  // would go; a parked component's tick would change nothing (§15.4).
+  const std::size_t n = node_count();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (router_awake_[i] == 0) continue;
+    Router& r = *routers_[i];
+    r.tick(now);
+    const bool router_idle = r.idle();
+    mark_busy(i, !router_idle);
+    router_awake_[i] = !router_idle || r.flit_inbound();
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (nic_awake_[i] == 0) continue;
+    Nic& nic = *nics_[i];
+    nic.tick(now);
+    mark_busy(n + i, !nic.idle());
+    nic_awake_[i] = !nic.parkable();
+  }
+  return idle() ? sim::Activity::kQuiescent : sim::Activity::kBusy;
 }
 
 Cycle Mesh::zero_load_latency(NodeId src, NodeId dst,
@@ -178,14 +213,6 @@ Cycle Mesh::zero_load_latency(NodeId src, NodeId dst,
   // Per hop: one link cycle + one router cycle; +1 NIC injection link,
   // +1 ejection; serialization adds (flits - 1).
   return 2 * (hops + 1) + (flits - 1);
-}
-
-bool Mesh::idle() const {
-  for (const auto& r : routers_)
-    if (!r->idle()) return false;
-  for (const auto& nic : nics_)
-    if (!nic->idle()) return false;
-  return true;
 }
 
 void Mesh::set_fault_injector(faults::FaultInjector* injector) {

@@ -46,6 +46,11 @@ class Nic {
   [[nodiscard]] Link* from_router() { return &from_router_; }
   [[nodiscard]] std::size_t fifo_depth() const { return fifo_depth_; }
   [[nodiscard]] bool idle() const;
+  /// Nothing to send and no flit arriving: ticks are no-ops until a send()
+  /// or a flit from the router.
+  [[nodiscard]] bool parkable() const {
+    return tx_queue_.empty() && !from_router_.busy();
+  }
   [[nodiscard]] std::uint64_t packets_sent() const { return packets_sent_; }
   [[nodiscard]] std::uint64_t packets_received() const { return packets_received_; }
 
@@ -72,9 +77,15 @@ class Nic {
 };
 
 /// The full mesh: routers, inter-router links and NICs, ticked as one unit.
+/// A tick reaches only the routers and NICs that have work; idle ones park
+/// until a flit or a send() wakes them (DESIGN.md §15.4).
 class Mesh : public sim::Tickable {
  public:
   explicit Mesh(const MeshConfig& config);
+  // Routers, NIC delivery handlers and link wake flags point into this
+  // object, so it can be neither copied nor moved.
+  Mesh(const Mesh&) = delete;
+  Mesh& operator=(const Mesh&) = delete;
 
   [[nodiscard]] NodeId node_at(int x, int y) const;
   [[nodiscard]] XY xy_of(NodeId node) const;
@@ -92,16 +103,14 @@ class Mesh : public sim::Tickable {
 
   sim::Activity tick(Cycle now) override;
   [[nodiscard]] std::string name() const override { return "mesh"; }
-  [[nodiscard]] sim::Activity activity() const override {
-    return idle() ? sim::Activity::kQuiescent : sim::Activity::kBusy;
-  }
 
   /// Minimal (uncontended) packet latency in cycles from src to dst:
   /// hops * (router + link) + serialization.
   [[nodiscard]] Cycle zero_load_latency(NodeId src, NodeId dst,
                                         std::uint32_t payload_bytes) const;
 
-  [[nodiscard]] bool idle() const;
+  /// Every router and NIC is idle.
+  [[nodiscard]] bool idle() const { return busy_count_ == 0; }
   [[nodiscard]] SampleSet& latencies() { return latencies_; }
   [[nodiscard]] std::uint64_t packets_delivered() const { return delivered_; }
 
@@ -117,10 +126,20 @@ class Mesh : public sim::Tickable {
   [[nodiscard]] std::uint64_t packets_dropped() const;
 
  private:
+  void mark_busy(std::size_t component, bool busy);
+
   MeshConfig config_;
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<Nic>> nics_;
   std::vector<std::unique_ptr<Link>> links_;
+  // Wake flags, raised by Link::put for the receiving router or NIC and by
+  // send() for the source NIC; tick() lowers them for parkable components.
+  std::vector<std::uint8_t> router_awake_;
+  std::vector<std::uint8_t> nic_awake_;
+  // Non-idle marks (routers, then NICs) and their count, kept for the
+  // components tick() reaches, so idle() needs no scan.
+  std::vector<std::uint8_t> busy_;
+  std::size_t busy_count_ = 0;
   std::uint64_t next_packet_id_ = 1;
   std::uint64_t delivered_ = 0;
   SampleSet latencies_;

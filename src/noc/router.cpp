@@ -20,6 +20,7 @@ void Link::put(Flit flit, Cycle now) {
   flit_ = flit;
   flit_arrival_ = now + 1;
   ++flits_carried_;
+  if (wake_ != nullptr) *wake_ = 1;
 }
 
 std::optional<Flit> Link::take(Cycle now) {
@@ -180,6 +181,12 @@ bool Router::idle() const {
   for (const auto& out : outputs_)
     if (out.owner) return false;
   return true;
+}
+
+bool Router::flit_inbound() const {
+  for (const auto& in : inputs_)
+    if (in.link != nullptr && in.link->busy()) return true;
+  return false;
 }
 
 }  // namespace ioguard::noc

@@ -27,13 +27,19 @@ inline constexpr std::size_t kPortCount = 5;
 [[nodiscard]] const char* to_string(Port p);
 
 /// One-cycle link between an upstream output and a downstream input. Flits
-/// written at cycle t become visible downstream at t+1 (deterministic
-/// regardless of component tick order). Credits travel the same way in the
-/// opposite direction.
+/// written at cycle t become visible downstream at t+1. Credits travel the
+/// same way in the opposite direction. The wire is free for the next flit
+/// once downstream takes the last one, so the tick order of the two ends
+/// decides whether upstream may send again in the same cycle.
 class Link {
  public:
-  /// Upstream writes a flit onto the wire at cycle `now`.
+  /// Upstream writes a flit onto the wire at cycle `now` and raises the
+  /// wake flag, if one is attached.
   void put(Flit flit, Cycle now);
+
+  /// Flag put() raises for the component at the receiving end (owned by
+  /// the Mesh, which parks idle routers and NICs; null when standalone).
+  void set_wake_flag(std::uint8_t* flag) { wake_ = flag; }
 
   /// Downstream takes the flit if one arrived by `now`.
   [[nodiscard]] std::optional<Flit> take(Cycle now);
@@ -52,6 +58,7 @@ class Link {
  private:
   std::optional<Flit> flit_;
   std::uint64_t flits_carried_ = 0;
+  std::uint8_t* wake_ = nullptr;
   Cycle flit_arrival_ = 0;
   // Credits in flight: (arrival cycle, count) pairs collapse to two buckets
   // because latency is exactly one cycle.
@@ -112,6 +119,9 @@ class Router {
 
   /// True when all FIFOs are empty and no output is mid-packet.
   [[nodiscard]] bool idle() const;
+
+  /// A flit waits on an inbound wire for this router to take it.
+  [[nodiscard]] bool flit_inbound() const;
 
   /// Attaches a fault injector (not owned); `site` keys this router's
   /// kLinkFlitLoss stream. A fired fault eats a *whole packet* on arrival

@@ -48,11 +48,6 @@ class Tickable {
   /// Human-readable instance name (for traces and error messages).
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Legacy accessor: classification of the cycle most recently ticked.
-  /// Retained as a shim for callers that inspect a component between runs;
-  /// the engine itself consumes tick()'s return value.
-  [[nodiscard]] virtual Activity activity() const { return Activity::kBusy; }
-
   /// Optional wake hint, consulted after each tick only when
   /// provides_wake_hints() is true: the earliest future cycle at which this
   /// component next has work. Contract: every tick on a cycle in

@@ -133,7 +133,10 @@ CosimResult run_cosim(const CosimConfig& config) {
   std::size_t next_release = 0;
   const Cycle horizon_cycles = static_cast<Cycle>(config.horizon_slots) * cps;
 
-  // IOGUARD_LINT_ALLOW(LNT009: cycle-accurate cosim is dense by definition)
+  // Every cycle runs: (d) makes one Bernoulli draw per VM node per cycle, so
+  // skipping cycles would shift bg_rng's stream and change the result bytes.
+  // The mesh parks its own idle routers and NICs (DESIGN.md §15.4).
+  // IOGUARD_LINT_ALLOW(LNT009: one background draw per VM node per cycle; skipped cycles would change the RNG stream and so the bytes)
   for (Cycle now = 0; now < horizon_cycles; ++now) {
     if (now % cps == 0) {
       const Slot slot = now / cps;

@@ -14,9 +14,9 @@
 //     fixed small latency; the mesh still exists and carries background
 //     traffic if configured.
 //
-// It is ~100x slower per simulated second than the analytic runner, so it
-// serves validation (tests compare the two) and latency studies rather
-// than 1000-trial sweeps.
+// Every cycle runs, while the analytic runner skips idle slots, so it is far
+// slower per simulated second; it serves validation (tests compare the two)
+// and latency studies rather than 1000-trial sweeps.
 #pragma once
 
 #include <cstdint>

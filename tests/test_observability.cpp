@@ -494,17 +494,14 @@ class ToggleComponent : public sim::Tickable {
  public:
   explicit ToggleComponent(std::string name) : name_(std::move(name)) {}
   sim::Activity tick(Cycle now) override {
-    activity_ = now % 3 == 0   ? sim::Activity::kBusy
-                : now % 3 == 1 ? sim::Activity::kStall
-                               : sim::Activity::kQuiescent;
-    return activity_;
+    return now % 3 == 0   ? sim::Activity::kBusy
+           : now % 3 == 1 ? sim::Activity::kStall
+                          : sim::Activity::kQuiescent;
   }
   [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] sim::Activity activity() const override { return activity_; }
 
  private:
   std::string name_;
-  sim::Activity activity_ = sim::Activity::kQuiescent;
 };
 
 TEST(EngineProfiler, CountsPartitionProfiledCycles) {
