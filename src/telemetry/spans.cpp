@@ -81,6 +81,8 @@ std::vector<JobSpan> collect_spans(const core::EventTrace& trace) {
       case core::TraceEventKind::kRetry:
       case core::TraceEventKind::kWatchdogAbort:
       case core::TraceEventKind::kShed:
+      case core::TraceEventKind::kModeSwitch:
+      case core::TraceEventKind::kModeRecover:
         break;  // no lifecycle phase
     }
   }
