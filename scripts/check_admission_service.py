@@ -9,6 +9,9 @@ With no third-party dependencies:
     contract; stats lines are excluded since counters legitimately differ);
   * injects malformed lines mid-session and asserts the daemon answers an
     {"ok": false, "code": ...} diagnostic and keeps serving (exit 0 at EOF);
+  * admits a VM of utilization exactly 3/4, whose server synthesis meets an
+    exactly-zero Theorem 4 slack, and asserts an "ok":true,"admitted":false
+    decision with the daemon still serving;
   * optionally validates that BENCH_admission_service.json carries finite
     admissions_per_second / incremental_speedup metrics (threshold gating
     lives in check_bench.py --min-metric=incremental_speedup:5).
@@ -38,15 +41,29 @@ def vm_tasks(base_id):
     ]
 
 
+# Utilization 17/102 + 82/141 + 1/564 = 3/4 exactly: synthesis tries
+# Theta = 15 at Pi = 20, where the Theorem 4 slack is exactly zero but its
+# double rounds to +1.1e-16. It must be rejected, not sized into a check
+# bound of ~1e17 slots.
+ZERO_SLACK_ADMIT = (
+    '{"op":"admit","tenant":"t0","vm":"vm1","tasks":['
+    '{"id":1,"period":102,"wcet":17,"deadline":102},'
+    '{"id":2,"period":141,"wcet":82,"deadline":141},'
+    '{"id":3,"period":564,"wcet":1,"deadline":564}]}')
+
+
 def build_session():
     """admit -> churn (evict / update / query) -> re-admit, with malformed
-    lines and comments interleaved. Returns (lines, expected_responses)."""
+    lines and comments interleaved. Returns (lines, expected_responses,
+    index of the zero-slack admit's response)."""
     lines = ["# admission service CI smoke"]
     for v in range(6):
         lines.append(json.dumps({
             "op": "admit", "tenant": f"t{v % 2}", "vm": f"vm{v}",
             "tasks": vm_tasks(16 * v),
         }))
+    zero_slack = len(lines) - 1  # responses so far: one per admit
+    lines.append(ZERO_SLACK_ADMIT)
     lines += [
         "",  # blank: ignored
         "this is not json",
@@ -62,7 +79,7 @@ def build_session():
         json.dumps({"op": "stats"}),
     ]
     expected = sum(1 for l in lines if l and not l.startswith("#"))
-    return lines, expected
+    return lines, expected, zero_slack
 
 
 def run_daemon(daemon, extra_flags, stdin_text):
@@ -83,7 +100,7 @@ def run_daemon(daemon, extra_flags, stdin_text):
 
 
 def check_daemon(daemon):
-    lines, expected = build_session()
+    lines, expected, zero_slack = build_session()
     stdin_text = "\n".join(lines) + "\n"
 
     streams = {}
@@ -95,6 +112,10 @@ def check_daemon(daemon):
             fail(f"{label}: expected {expected} response lines, got "
                  f"{len(out)}")
             return
+        if '"ok":true' not in out[zero_slack] or \
+                '"admitted":false' not in out[zero_slack]:
+            fail(f"{label}: zero-slack admit not rejected: "
+                 f"{out[zero_slack]!r}")
         decisions = []
         errors = 0
         for line in out:

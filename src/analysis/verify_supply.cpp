@@ -131,10 +131,10 @@ void verify_global_admission(const sched::TableSupply& supply,
     if (g.pi == 0 || g.theta > g.pi) return;  // LVLxxx territory; bail here
   }
 
-  double bw = 0.0;
-  for (const auto& g : active) bw += g.bandwidth();
-  const double slack = supply.bandwidth() - bw;
-  if (slack <= 0.0) {
+  if (!sched::global_slack(supply, active)) {
+    double bw = 0.0;
+    for (const auto& g : active) bw += g.bandwidth();
+    const double slack = supply.bandwidth() - bw;
     report.add(DiagCode::kSupZeroSlack,
                "slack c = F/H - sum(Theta/Pi) = " + std::to_string(slack) +
                    " (F/H = " + std::to_string(supply.bandwidth()) +

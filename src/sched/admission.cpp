@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -29,17 +31,6 @@ AdmissionResult check_at_steps(const std::vector<Slot>& steps,
   return r;
 }
 
-/// Step points of server demand: multiples of each Pi, in [1, bound).
-std::vector<Slot> server_steps(const std::vector<ServerParams>& servers,
-                               Slot bound) {
-  std::vector<Slot> steps;
-  for (const auto& g : servers)
-    for (Slot t = g.pi; t < bound; t += g.pi) steps.push_back(t);
-  std::sort(steps.begin(), steps.end());
-  steps.erase(std::unique(steps.begin(), steps.end()), steps.end());
-  return steps;
-}
-
 /// Step points of sporadic demand: t = D_k + m*T_k, in [1, bound).
 std::vector<Slot> sporadic_steps(const workload::TaskSet& tasks, Slot bound) {
   std::vector<Slot> steps;
@@ -50,7 +41,88 @@ std::vector<Slot> sporadic_steps(const workload::TaskSet& tasks, Slot bound) {
   return steps;
 }
 
+__uint128_t gcd(__uint128_t a, __uint128_t b) {
+  while (b != 0) {
+    a %= b;
+    std::swap(a, b);
+  }
+  return a;
+}
+
+/// A sum of slot ratios p/q held as one reduced 128-bit fraction.
+class ExactRatioSum {
+ public:
+  /// Adds p/q (q > 0); false once the sum no longer fits 128 bits.
+  bool add(Slot p, Slot q) {
+    const __uint128_t g = gcd(den_, q);
+    __uint128_t scaled_num = 0;
+    __uint128_t scaled_p = 0;
+    __uint128_t num = 0;
+    __uint128_t den = 0;
+    if (__builtin_mul_overflow(num_, q / g, &scaled_num) ||
+        __builtin_mul_overflow(p, den_ / g, &scaled_p) ||
+        __builtin_add_overflow(scaled_num, scaled_p, &num) ||
+        __builtin_mul_overflow(den_ / g, q, &den))
+      return false;
+    const __uint128_t r = gcd(num, den);
+    num_ = num / r;
+    den_ = den / r;
+    return true;
+  }
+
+  /// Is the sum strictly below p/q? False when the cross products overflow.
+  [[nodiscard]] bool below(Slot p, Slot q) const {
+    __uint128_t lhs = 0;
+    __uint128_t rhs = 0;
+    return !__builtin_mul_overflow(num_, q, &lhs) &&
+           !__builtin_mul_overflow(p, den_, &rhs) && lhs < rhs;
+  }
+
+ private:
+  __uint128_t num_ = 0;
+  __uint128_t den_ = 1;
+};
+
+/// Positive-slack decision of Theorems 2 and 4. The double `c`, summed over
+/// `n` ratios of at most 1, keeps sizing the check bound, and its sign is
+/// trusted outside its rounding band. Inside the band `exact_positive()`
+/// decides: an exactly-zero slack can round to +1e-16 and size a ~1e17-slot
+/// bound. A sum too large for 128 bits counts as not positive; any slack in
+/// the band would size a bound no check could walk.
+template <class ExactFn>
+std::optional<double> confirmed_slack(double c, std::size_t n,
+                                      ExactFn&& exact_positive) {
+  const double band = 8.0 * static_cast<double>(n + 2) *
+                      std::numeric_limits<double>::epsilon();
+  if (!(c > 0.0)) return std::nullopt;
+  if (c > band || exact_positive()) return c;
+  return std::nullopt;
+}
+
 }  // namespace
+
+std::optional<double> global_slack(const TableSupply& supply,
+                                   const std::vector<ServerParams>& servers) {
+  double bw = 0.0;
+  for (const auto& g : servers) bw += g.bandwidth();
+  return confirmed_slack(supply.bandwidth() - bw, servers.size(), [&] {
+    ExactRatioSum demand;
+    for (const auto& g : servers)
+      if (!demand.add(g.theta, g.pi)) return false;
+    return demand.below(supply.free_per_period(), supply.hyperperiod());
+  });
+}
+
+std::optional<double> local_slack(const ServerParams& server,
+                                  const workload::TaskSet& vm_tasks) {
+  return confirmed_slack(
+      server.bandwidth() - vm_tasks.utilization(), vm_tasks.size(), [&] {
+        ExactRatioSum demand;
+        for (const auto& tau : vm_tasks.tasks())
+          if (!demand.add(tau.wcet, tau.period)) return false;
+        return demand.below(server.theta, server.pi);
+      });
+}
 
 AdmissionResult theorem1_exhaustive(const TableSupply& supply,
                                     const std::vector<ServerParams>& servers,
@@ -66,15 +138,48 @@ AdmissionResult theorem1_exhaustive(const TableSupply& supply,
     for (const auto& g : servers) l = workload::checked_lcm(l, g.pi, lcm_cap);
     t_max = l + 1;
   }
-  const auto steps = server_steps(servers, t_max);
-  return check_at_steps(
-      steps,
-      [&](Slot t) {
-        Slot d = 0;
-        for (const auto& g : servers) d += dbf_server(g, t);
-        return d;
-      },
-      [&](Slot t) { return supply.sbf(t); }, t_max);
+  // One cursor per distinct Pi, stepping through its multiples with the
+  // summed Theta of the servers sharing it. Walking the cursors in merged
+  // order visits every demand step once, ascending, with dbf(t) kept as a
+  // running sum.
+  struct Cursor {
+    Slot pi;
+    Slot theta;
+    Slot next;
+  };
+  std::vector<Cursor> cursors;
+  for (const auto& g : servers) {
+    const auto same =
+        std::find_if(cursors.begin(), cursors.end(),
+                     [&](const Cursor& c) { return c.pi == g.pi; });
+    if (same != cursors.end()) {
+      same->theta += g.theta;
+    } else {
+      cursors.push_back({g.pi, g.theta, g.pi});
+    }
+  }
+
+  AdmissionResult r;
+  r.checked_until = t_max;
+  Slot demand = 0;
+  for (;;) {
+    Slot t = kNeverSlot;
+    for (const auto& c : cursors) t = std::min(t, c.next);
+    if (t >= t_max) break;
+    for (auto& c : cursors) {
+      if (c.next != t) continue;
+      demand += c.theta;
+      c.next += c.pi;
+    }
+    // sbf(t) costs an O(H) window scan per new residue t mod H; the O(1)
+    // lsbf(t) <= sbf(t) settles most steps without it.
+    if (demand > supply.lsbf(t) && demand > supply.sbf(t)) {
+      r.violation_t = t;
+      return r;
+    }
+  }
+  r.schedulable = true;
+  return r;
 }
 
 AdmissionResult theorem2_check(const TableSupply& supply,
@@ -84,15 +189,14 @@ AdmissionResult theorem2_check(const TableSupply& supply,
     r.schedulable = true;
     return r;
   }
-  double bw = 0.0;
-  for (const auto& g : servers) bw += g.bandwidth();
-  const double c = supply.bandwidth() - bw;
-  if (c <= 0.0) return r;  // Theorem 2's stated limitation: requires c > 0
+  const auto c = global_slack(supply, servers);
+  if (!c) return r;  // Theorem 2's stated limitation: requires c > 0
 
   const double h = static_cast<double>(supply.hyperperiod());
   const double f = static_cast<double>(supply.free_per_period());
   // t* < F * ((H-1)/H) / c
-  const auto bound = static_cast<Slot>(std::ceil(f * ((h - 1.0) / h) / c)) + 1;
+  const auto bound =
+      static_cast<Slot>(std::ceil(f * ((h - 1.0) / h) / *c)) + 1;
   return theorem1_exhaustive(supply, servers, bound);
 }
 
@@ -123,8 +227,8 @@ AdmissionResult theorem4_check(const ServerParams& server,
     r.schedulable = true;
     return r;
   }
-  const double cprime = server.bandwidth() - vm_tasks.utilization();
-  if (cprime <= 0.0) return r;  // Theorem 4 requires c' > 0
+  const auto cprime = local_slack(server, vm_tasks);
+  if (!cprime) return r;  // Theorem 4 requires c' > 0
 
   Slot max_laxity = 0;  // max(T_k - D_k)
   for (const auto& tau : vm_tasks.tasks())
@@ -133,31 +237,8 @@ AdmissionResult theorem4_check(const ServerParams& server,
   const double num = static_cast<double>(max_laxity) +
                      2.0 * static_cast<double>(server.pi) -
                      static_cast<double>(server.theta) - 1.0;
-  const auto bound = static_cast<Slot>(std::ceil(num / cprime)) + 1;
+  const auto bound = static_cast<Slot>(std::ceil(num / *cprime)) + 1;
   return theorem3_exhaustive(server, vm_tasks, bound);
-}
-
-SystemAdmission admit_system(const TableSupply& supply,
-                             const std::vector<ServerParams>& servers,
-                             const std::vector<workload::TaskSet>& vm_tasks) {
-  IOGUARD_CHECK(servers.size() == vm_tasks.size());
-  SystemAdmission out;
-  out.global = theorem2_check(supply, servers);
-  if (!out.global) {
-    out.reason = "global layer (Theorem 2) rejected";
-    return out;
-  }
-  out.per_vm.reserve(servers.size());
-  bool all_ok = true;
-  for (std::size_t i = 0; i < servers.size(); ++i) {
-    out.per_vm.push_back(theorem4_check(servers[i], vm_tasks[i]));
-    if (!out.per_vm.back()) {
-      all_ok = false;
-      out.reason = "VM " + std::to_string(i) + " (Theorem 4) rejected";
-    }
-  }
-  out.schedulable = all_ok;
-  return out;
 }
 
 }  // namespace ioguard::sched

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "sched/sbf.hpp"
@@ -21,16 +20,27 @@ struct AdmissionResult {
   explicit operator bool() const { return schedulable; }
 };
 
+/// Theorem 2's slack c = F/H - sum(Theta/Pi), as the double its check bound
+/// is sized with; nullopt unless c > 0 holds in exact arithmetic.
+[[nodiscard]] std::optional<double> global_slack(
+    const TableSupply& supply, const std::vector<ServerParams>& servers);
+
+/// Theorem 4's slack c' = Theta/Pi - sum(C/T), as the double its check bound
+/// is sized with; nullopt unless c' > 0 holds in exact arithmetic.
+[[nodiscard]] std::optional<double> local_slack(
+    const ServerParams& server, const workload::TaskSet& vm_tasks);
+
 /// Theorem 1 evaluated exhaustively: checks dbf/sbf at every demand step
-/// point t <= t_max (t_max defaults to lcm(H, Pi_1..Pi_n), capped).
+/// point t <= t_max (t_max defaults to lcm(H, Pi_1..Pi_n), capped). The
+/// O(H) sbf(t) is looked up only where dbf(t) exceeds the O(1) lsbf(t).
 AdmissionResult theorem1_exhaustive(const TableSupply& supply,
                                     const std::vector<ServerParams>& servers,
                                     Slot t_max = 0,
                                     Slot lcm_cap = Slot{1} << 26);
 
 /// Theorem 2: pseudo-polynomial G-level test. Uses the system's actual slack
-/// c = F/H - sum(Theta/Pi) (must be > 0; returns unschedulable otherwise,
-/// which matches the theorem's stated limitation).
+/// c = F/H - sum(Theta/Pi) (must be > 0 exactly; returns unschedulable
+/// otherwise, which matches the theorem's stated limitation).
 AdmissionResult theorem2_check(const TableSupply& supply,
                                const std::vector<ServerParams>& servers);
 
@@ -42,29 +52,8 @@ AdmissionResult theorem3_exhaustive(const ServerParams& server,
                                     Slot lcm_cap = Slot{1} << 26);
 
 /// Theorem 4: pseudo-polynomial L-level test with the VM's actual slack
-/// c' = Theta/Pi - sum(C/T) (must be > 0).
+/// c' = Theta/Pi - sum(C/T) (must be > 0 exactly).
 AdmissionResult theorem4_check(const ServerParams& server,
                                const workload::TaskSet& vm_tasks);
-
-// DEPRECATED(ISSUE-9): SystemAdmission / admit_system are the legacy batch
-// entry points, superseded by the request--response admission service
-// (service/admission_engine.hpp: AdmissionEngine::handle answers the same
-// two-layer question incrementally, with memoized verdicts and a canonical
-// decision encoding). They are kept for exactly one PR as a migration shim
-// for out-of-tree callers; no in-tree caller remains (CI greps for uses
-// outside this header/impl pair).
-
-/// DEPRECATED(ISSUE-9): use service::AdmissionDecision instead.
-struct SystemAdmission {
-  bool schedulable = false;
-  AdmissionResult global;
-  std::vector<AdmissionResult> per_vm;
-  std::string reason;
-};
-
-/// DEPRECATED(ISSUE-9): use service::AdmissionEngine::handle instead.
-SystemAdmission admit_system(const TableSupply& supply,
-                             const std::vector<ServerParams>& servers,
-                             const std::vector<workload::TaskSet>& vm_tasks);
 
 }  // namespace ioguard::sched

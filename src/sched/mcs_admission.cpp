@@ -49,8 +49,8 @@ AdmissionResult mcs_transition_check(const ServerParams& hi_server,
   }
   // Theorem-4 slack of the HI regime; the carry-over is a constant offset,
   // so it widens the check bound but leaves the asymptotics untouched.
-  const double cprime = hi_server.bandwidth() - hi_tasks.utilization();
-  if (cprime <= 0.0) return r;
+  const auto cprime = local_slack(hi_server, hi_tasks);
+  if (!cprime) return r;
 
   Slot max_laxity = 0;
   for (const auto& tau : hi_tasks.tasks())
@@ -59,7 +59,7 @@ AdmissionResult mcs_transition_check(const ServerParams& hi_server,
                      2.0 * static_cast<double>(hi_server.pi) -
                      static_cast<double>(hi_server.theta) - 1.0 +
                      static_cast<double>(carry_over);
-  const auto bound = static_cast<Slot>(std::ceil(num / cprime)) + 1;
+  const auto bound = static_cast<Slot>(std::ceil(num / *cprime)) + 1;
   r.checked_until = bound;
 
   // Demand steps: t = D_k + m*T_k. Demand is piecewise constant and supply

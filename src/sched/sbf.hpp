@@ -29,13 +29,20 @@ struct ServerParams {
 
 /// Supply bound function of the repeating table sigma (Eqs. (1)-(2)).
 /// enum(t) rows are computed lazily (O(H) each, memoised) because admission
-/// only touches a bounded set of residues t mod H.
+/// only touches a bounded set of residues t mod H. The table's worst supply
+/// deficit D = max over circular windows W of F*|W| - H*free(W), computed
+/// once at construction, gives the O(1) lower bound lsbf that lets
+/// admission skip most of those rows.
 class TableSupply {
  public:
   explicit TableSupply(const TimeSlotTable& table);
 
   /// sbf(sigma, t): minimum free slots in any window of length t.
   [[nodiscard]] Slot sbf(Slot t) const;
+
+  /// max(0, ceil((F*t - D) / H)) <= sbf(t): every window of length t
+  /// misses at most D of its F*t/H share, scaled by H.
+  [[nodiscard]] Slot lsbf(Slot t) const;
 
   [[nodiscard]] Slot hyperperiod() const { return h_; }
   [[nodiscard]] Slot free_per_period() const { return f_; }
@@ -50,6 +57,7 @@ class TableSupply {
 
   Slot h_ = 0;
   Slot f_ = 0;
+  Slot deficit_ = 0;                          // D, see the class comment
   std::vector<Slot> prefix_;                  // free-slot prefix sums over 2H
   mutable std::vector<Slot> enum_cache_;      // kNeverSlot = not yet computed
 };

@@ -51,16 +51,15 @@ StatusOr<SlotDelta> min_slack(const ServerParams& server,
     return FailedPreconditionError("empty task set has no slack to measure");
 
   // Check window mirrors theorem4_check.
-  const double cprime = server.bandwidth() - vm_tasks.utilization();
   Slot bound;
-  if (cprime > 0.0) {
+  if (const auto cprime = local_slack(server, vm_tasks)) {
     Slot max_laxity = 0;
     for (const auto& tau : vm_tasks.tasks())
       max_laxity = std::max(max_laxity, tau.period - tau.deadline);
     const double num = static_cast<double>(max_laxity) +
                        2.0 * static_cast<double>(server.pi) -
                        static_cast<double>(server.theta) - 1.0;
-    bound = static_cast<Slot>(std::ceil(num / cprime)) + 1;
+    bound = static_cast<Slot>(std::ceil(num / *cprime)) + 1;
   } else {
     // Over-utilized: inspect a few hyper-periods to find the violation.
     bound = 4 * vm_tasks.hyperperiod(Slot{1} << 22) + 1;
@@ -105,14 +104,11 @@ StatusOr<SlotDelta> global_min_slack(const TableSupply& supply,
   if (servers.empty())
     return FailedPreconditionError("no servers: global slack is undefined");
 
-  double bw = 0.0;
-  for (const auto& g : servers) bw += g.bandwidth();
-  const double c = supply.bandwidth() - bw;
   Slot bound;
-  if (c > 0.0) {
+  if (const auto c = global_slack(supply, servers)) {
     const double h = static_cast<double>(supply.hyperperiod());
     const double f = static_cast<double>(supply.free_per_period());
-    bound = static_cast<Slot>(std::ceil(f * ((h - 1.0) / h) / c)) + 1;
+    bound = static_cast<Slot>(std::ceil(f * ((h - 1.0) / h) / *c)) + 1;
   } else {
     Slot l = supply.hyperperiod();
     for (const auto& g : servers)
