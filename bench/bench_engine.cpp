@@ -1,19 +1,11 @@
-// EXP-ENGINE -- next-event calendar vs dense slot stepping (DESIGN.md §15).
+// EXP-ENGINE -- event-driven trial runner vs dense slot stepping (DESIGN.md
+// §15).
 //
-// Two layers, one question each:
-//   (1) engine -- how much does the WakeCalendar save when components sleep?
-//       A synthetic quiescence-ratio sweep ticks the same burst components
-//       with and without wake hints. The hinted engine parks a component
-//       between bursts and jumps time when everything sleeps, so the win
-//       scales with the quiescence ratio: ~1x when components never sleep,
-//       5-10x when they are quiescent 99% of the time. The profiler's
-//       busy/stall/quiescent counters are asserted equal across both paths
-//       (the calendar must be an optimization, never a behaviour change).
-//   (2) system -- what does the event-driven runner buy on real case-study
-//       trials? Identical seeds run in event mode and on the retained
-//       slot-stepped reference (TrialConfig::stepped); trial summaries are
-//       byte-compared before any timing is trusted. Expected shape: >= 3x
-//       on the low-utilization point, ~1x at the fully-loaded worst case.
+// What does the event-driven runner buy on real case-study trials? Identical
+// seeds run in event mode and on the retained slot-stepped reference
+// (TrialConfig::stepped); trial summaries are byte-compared before any
+// timing is trusted. Expected shape: >= 3x on the low-utilization point, ~1x
+// at the fully-loaded worst case.
 //
 // BENCH_engine.json carries the measured ratios in the "metrics" object;
 // CI gates metrics.event_speedup_low_util via check_bench.py --min-metric.
@@ -21,15 +13,14 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "bench_json.hpp"
 #include "common/env.hpp"
 #include "common/table.hpp"
-#include "sim/engine.hpp"
 #include "system/runner.hpp"
 
 namespace {
@@ -41,120 +32,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
-
-// ---- (1) synthetic engine sweep -------------------------------------------
-
-/// Busy for `busy` cycles at the start of every `period`, quiescent for the
-/// rest. The hinted variant reports the next burst start through
-/// next_event(), letting the engine park it; the dense variant is the exact
-/// same component minus the hint.
-class Burst : public sim::Tickable {
- public:
-  Burst(Cycle busy, Cycle period, Cycle phase, bool hinted)
-      : busy_(busy), period_(period), phase_(phase), hinted_(hinted) {}
-
-  sim::Activity tick(Cycle now) override {
-    if ((now + phase_) % period_ < busy_) {
-      ++work_;
-      return sim::Activity::kBusy;
-    }
-    return sim::Activity::kQuiescent;
-  }
-  [[nodiscard]] std::string name() const override { return "burst"; }
-  [[nodiscard]] bool provides_wake_hints() const override { return hinted_; }
-  [[nodiscard]] Cycle next_event(Cycle now) const override {
-    const Cycle pos = (now + phase_) % period_;
-    return pos < busy_ ? now + 1 : now + (period_ - pos);
-  }
-  [[nodiscard]] std::uint64_t work() const { return work_; }
-
- private:
-  Cycle busy_;
-  Cycle period_;
-  Cycle phase_;
-  bool hinted_;
-  std::uint64_t work_ = 0;
-};
-
-struct EngineRun {
-  double wall = 0.0;
-  std::uint64_t work = 0;
-  std::vector<sim::ComponentProfile> profile;
-};
-
-EngineRun run_engine(bool hinted, Cycle horizon, Cycle busy, Cycle period) {
-  sim::Engine engine;
-  std::vector<Burst> comps;
-  comps.reserve(4);
-  for (Cycle phase = 0; phase < 4; ++phase)
-    comps.emplace_back(busy, period, phase * (period / 4), hinted);
-  for (auto& c : comps) engine.add(&c);
-  engine.enable_profiling();
-
-  EngineRun run;
-  const auto t0 = std::chrono::steady_clock::now();
-  engine.run_until(horizon - 1);
-  run.wall = seconds_since(t0);
-  for (const auto& c : comps) run.work += c.work();
-  run.profile = engine.profile();
-  benchmark::DoNotOptimize(run.work);
-  return run;
-}
-
-bool profiles_equal(const std::vector<sim::ComponentProfile>& a,
-                    const std::vector<sim::ComponentProfile>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (a[i].busy_cycles != b[i].busy_cycles ||
-        a[i].stall_cycles != b[i].stall_cycles ||
-        a[i].quiescent_cycles != b[i].quiescent_cycles)
-      return false;
-  return true;
-}
-
-/// Returns the calendar-vs-dense speedup at the highest-quiescence point;
-/// exits 1 if any point diverges behaviourally.
-double engine_sweep(bench::BenchReport& report) {
-  const Cycle horizon = 4u << 20;
-  struct Point {
-    const char* label;
-    Cycle busy;
-    Cycle period;
-  };
-  // Quiescence ratio = 1 - busy/period per component.
-  const Point points[] = {
-      {"q=0.00 (always busy)", 64, 64},
-      {"q=0.90", 64, 640},
-      {"q=0.99", 64, 6400},
-  };
-
-  std::cout << "=== engine: calendar vs dense ticking (" << horizon
-            << " cycles, 4 components) ===\n";
-  TextTable table({"point", "dense_s", "calendar_s", "speedup"});
-  double high_q_speedup = 0.0;
-  for (const Point& p : points) {
-    const EngineRun dense = run_engine(false, horizon, p.busy, p.period);
-    const EngineRun cal = run_engine(true, horizon, p.busy, p.period);
-    if (dense.work != cal.work || !profiles_equal(dense.profile, cal.profile)) {
-      std::cerr << "FATAL: calendar engine diverged from dense engine at "
-                << p.label << "\n";
-      std::exit(1);
-    }
-    const double speedup = dense.wall / cal.wall;
-    table.add(p.label, fmt_double(dense.wall, 3), fmt_double(cal.wall, 3),
-              fmt_double(speedup, 2) + "x");
-    high_q_speedup = speedup;  // last point = highest quiescence
-    report.add_stage_seconds(std::string("engine_dense_") + p.label,
-                             dense.wall);
-    report.add_stage_seconds(std::string("engine_calendar_") + p.label,
-                             cal.wall);
-  }
-  table.render(std::cout);
-  std::cout << "\n";
-  return high_q_speedup;
-}
-
-// ---- (2) full-system sweep ------------------------------------------------
 
 struct SystemPoint {
   const char* label;
@@ -238,8 +115,6 @@ int main(int argc, char** argv) {
   (void)bench::parse_bench_flags(&argc, argv);
 
   bench::BenchReport report("engine");
-  const double engine_speedup = engine_sweep(report);
-  report.add_metric("engine_speedup_high_quiescence", engine_speedup);
   system_sweep(report);
 
   const auto path = report.write();

@@ -1,9 +1,9 @@
 #include "analysis/artifact_builder.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "analysis/verify_service.hpp"
+#include "core/hypervisor.hpp"
 #include "sched/server_design.hpp"
 
 namespace ioguard::analysis {
@@ -32,44 +32,10 @@ ExperimentArtifacts build_experiment_artifacts(
 
   for (std::size_t d = 0; d < workload::kCaseStudyDeviceCount; ++d) {
     const DeviceId dev{static_cast<std::uint32_t>(d)};
-    auto predefined = wl.predefined().filter_device(dev);
-    workload::TaskSet demoted;
-    auto build = sched::build_time_slot_table(predefined);
-    while (!build.feasible && !predefined.empty()) {
-      // Demote the least critical, largest-demand task first (same policy
-      // as core::Hypervisor at initialization).
-      std::vector<workload::IoTaskSpec> remaining = predefined.tasks();
-      std::size_t victim = 0;
-      for (std::size_t i = 1; i < remaining.size(); ++i) {
-        const auto key = [](const workload::IoTaskSpec& t) {
-          return std::make_pair(static_cast<int>(t.cls), t.utilization());
-        };
-        if (key(remaining[i]) > key(remaining[victim])) victim = i;
-      }
-      workload::IoTaskSpec moved = remaining[victim];
-      moved.kind = workload::TaskKind::kRuntime;
-      demoted.add(std::move(moved));
-      remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(victim));
-      predefined = workload::TaskSet(std::move(remaining));
-      build = sched::build_time_slot_table(predefined);
-    }
-
-    auto runtime = wl.runtime().filter_device(dev);
-    for (const auto& t : demoted.tasks()) runtime.add(t);
-    std::vector<workload::TaskSet> vm_tasks;
-    vm_tasks.reserve(cfg.num_vms);
-    for (std::size_t v = 0; v < cfg.num_vms; ++v) {
-      workload::TaskSet charged;
-      const auto vm_set = runtime.filter_vm(VmId{static_cast<std::uint32_t>(v)});
-      for (auto t : vm_set.tasks()) {
-        t.wcet = std::min(t.deadline, t.wcet + dispatch_overhead_slots);
-        charged.add(std::move(t));
-      }
-      vm_tasks.push_back(std::move(charged));
-    }
-
-    const sched::TableSupply supply(build.table);
-    auto design = sched::design_system(supply, vm_tasks);
+    core::DevicePlan plan =
+        core::plan_device(wl, dev, cfg.num_vms, dispatch_overhead_slots);
+    const sched::TableSupply supply(plan.table);
+    auto design = sched::design_system(supply, plan.vm_tasks);
     std::vector<sched::ServerParams> servers;
     if (design.feasible || !design.servers.empty()) {
       // Hand even an infeasible design to the verifier: its job is to
@@ -79,10 +45,10 @@ ExperimentArtifacts build_experiment_artifacts(
       servers.assign(cfg.num_vms, sched::ServerParams{1, 0});
     }
 
-    a.predefined.push_back(std::move(predefined));
-    a.tables.push_back(std::move(build.table));
+    a.predefined.push_back(std::move(plan.predefined));
+    a.tables.push_back(std::move(plan.table));
     a.servers.push_back(std::move(servers));
-    a.vm_tasks.push_back(std::move(vm_tasks));
+    a.vm_tasks.push_back(std::move(plan.vm_tasks));
   }
   return a;
 }

@@ -1,8 +1,9 @@
-// Builds the scheduling artifacts of a case-study experiment the same way
-// core::Hypervisor does at system initialization -- per-device offline Time
-// Slot Table (with demotion of unplaceable pre-defined tasks to the
-// R-channel) plus per-VM server synthesis -- but as plain owned data, so the
-// verifier can inspect (and fault-injection can tamper with) every piece.
+// Builds the scheduling artifacts of a case-study experiment from the device
+// plans core::Hypervisor designs from at system initialization
+// (core::plan_device: the offline Time Slot Table, with demotion of
+// unplaceable pre-defined tasks to the R-channel, and the per-VM task sets)
+// plus per-VM server synthesis, but as plain owned data, so the verifier can
+// inspect (and fault-injection can tamper with) every piece.
 #pragma once
 
 #include <cstddef>
@@ -30,8 +31,8 @@ struct ExperimentArtifacts {
 
 /// Derives every device's artifacts for `cfg`. `trials`/`min_jobs` only fill
 /// the ExperimentSpec under CFG verification; they do not affect the build.
-/// `dispatch_overhead_slots` is charged onto every R-channel task's WCET
-/// like core::Hypervisor does (Calibration::dispatch_overhead_slots).
+/// `dispatch_overhead_slots` is charged onto every R-channel task's WCET by
+/// core::plan_device (Calibration::dispatch_overhead_slots).
 [[nodiscard]] ExperimentArtifacts build_experiment_artifacts(
     const workload::CaseStudyConfig& cfg, std::size_t trials = 1,
     std::size_t min_jobs = 1, Slot dispatch_overhead_slots = 1);

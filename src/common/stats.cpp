@@ -116,33 +116,4 @@ double SampleSet::max() const {
   return *std::max_element(samples_.begin(), samples_.end());
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      bins_(bins, 0) {
-  IOGUARD_CHECK(hi > lo);
-  IOGUARD_CHECK(bins > 0);
-}
-
-void Histogram::add(double x) {
-  std::size_t i;
-  if (x < lo_) {
-    i = 0;
-  } else if (x >= hi_) {
-    i = bins_.size() - 1;
-  } else {
-    i = static_cast<std::size_t>((x - lo_) / width_);
-    if (i >= bins_.size()) i = bins_.size() - 1;
-  }
-  ++bins_[i];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
 }  // namespace ioguard

@@ -96,22 +96,4 @@ class SampleSet {
   bool sorted_ = false;
 };
 
-/// Fixed-bin histogram over [lo, hi); out-of-range values clamp to edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const { return bins_.at(i); }
-  [[nodiscard]] std::size_t bins() const { return bins_.size(); }
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> bins_;
-  std::size_t total_ = 0;
-};
-
 }  // namespace ioguard

@@ -54,6 +54,47 @@ std::vector<sched::ServerParams> fallback_servers(
 
 }  // namespace
 
+DevicePlan plan_device(const workload::CaseStudyWorkload& wl, DeviceId dev,
+                       std::size_t num_vms, Slot dispatch_overhead_slots) {
+  DevicePlan plan;
+  plan.predefined = wl.predefined().filter_device(dev);
+  auto build = sched::build_time_slot_table(plan.predefined);
+  if (!build.feasible) plan.table_failure = build.failure;
+  while (!build.feasible && !plan.predefined.empty()) {
+    // Demote the least critical, largest-demand task first.
+    std::vector<workload::IoTaskSpec> remaining = plan.predefined.tasks();
+    std::size_t victim = 0;
+    for (std::size_t i = 1; i < remaining.size(); ++i) {
+      const auto key = [](const workload::IoTaskSpec& t) {
+        return std::make_pair(static_cast<int>(t.cls), t.utilization());
+      };
+      if (key(remaining[i]) > key(remaining[victim])) victim = i;
+    }
+    workload::IoTaskSpec moved = remaining[victim];
+    moved.kind = workload::TaskKind::kRuntime;
+    plan.demoted.add(std::move(moved));
+    remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(victim));
+    plan.predefined = workload::TaskSet(std::move(remaining));
+    build = sched::build_time_slot_table(plan.predefined);
+  }
+  IOGUARD_CHECK_MSG(build.feasible, "empty table must be feasible");
+  plan.table = std::move(build.table);
+
+  auto runtime = wl.runtime().filter_device(dev);
+  for (const auto& t : plan.demoted.tasks()) runtime.add(t);
+  plan.vm_tasks.reserve(num_vms);
+  for (std::size_t v = 0; v < num_vms; ++v) {
+    workload::TaskSet charged;
+    const auto vm_set = runtime.filter_vm(VmId{static_cast<std::uint32_t>(v)});
+    for (auto t : vm_set.tasks()) {
+      t.wcet = std::min(t.deadline, t.wcet + dispatch_overhead_slots);
+      charged.add(std::move(t));
+    }
+    plan.vm_tasks.push_back(std::move(charged));
+  }
+  return plan;
+}
+
 Hypervisor::Hypervisor(const workload::CaseStudyWorkload& wl,
                        const HypervisorConfig& config) {
   const std::size_t n_dev = workload::kCaseStudyDeviceCount;
@@ -84,72 +125,35 @@ Hypervisor::Hypervisor(const workload::CaseStudyWorkload& wl,
     design.device = dev;
     design.spec = case_study_device_spec(dev);
 
-    // 1. Offline Time Slot Table for this device's pre-defined tasks. When
-    //    placement fails (e.g. pre-defined utilization pushed past what the
-    //    table can hold), the least-critical pre-defined tasks are demoted
-    //    to the R-channel one by one until the remainder fits -- a designer
-    //    would do exactly this at integration time.
-    auto predefined = wl.predefined().filter_device(dev);
-    workload::TaskSet demoted;
-    auto build = sched::build_time_slot_table(predefined);
-    design.table_feasible = build.feasible;
-    while (!build.feasible && !predefined.empty()) {
-      if (design.note.empty())
-        design.note = "slot table: " + build.failure + " (demoted:";
-      // Demote the least critical, largest-demand task first.
-      std::vector<workload::IoTaskSpec> remaining = predefined.tasks();
-      std::size_t victim = 0;
-      for (std::size_t i = 1; i < remaining.size(); ++i) {
-        const auto key = [](const workload::IoTaskSpec& t) {
-          return std::make_pair(static_cast<int>(t.cls), t.utilization());
-        };
-        if (key(remaining[i]) > key(remaining[victim])) victim = i;
+    // Offline Time Slot Table and per-VM R-channel task sets, then periodic
+    // servers for them.
+    DevicePlan plan = plan_device(wl, dev, config.num_vms,
+                                  config.dispatch_overhead_slots);
+    design.table_feasible = plan.demoted.empty();
+    if (!plan.demoted.empty()) {
+      design.note = "slot table: " + plan.table_failure + " (demoted:";
+      for (const auto& t : plan.demoted.tasks()) {
+        design.note += " " + t.name;
+        demotions_.push_back(Demotion{dev, t.vm, t.id});
       }
-      workload::IoTaskSpec moved = remaining[victim];
-      moved.kind = workload::TaskKind::kRuntime;
-      design.note += " " + moved.name;
-      demotions_.push_back(Demotion{dev, moved.vm, moved.id});
-      demoted.add(moved);
-      remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(victim));
-      predefined = workload::TaskSet(std::move(remaining));
-      build = sched::build_time_slot_table(predefined);
+      design.note += ")";
     }
-    if (!design.note.empty()) design.note += ")";
-    IOGUARD_CHECK_MSG(build.feasible, "empty table must be feasible");
-    for (const auto& t : predefined.tasks()) {
+    for (const auto& t : plan.predefined.tasks()) {
       if (t.id.value >= pchannel_tasks_.size())
         pchannel_tasks_.resize(t.id.value + 1, 0);
       pchannel_tasks_[t.id.value] = 1;
     }
-    design.hyperperiod = build.table.hyperperiod();
-    design.free_slots = build.table.free_slots();
+    design.hyperperiod = plan.table.hyperperiod();
+    design.free_slots = plan.table.free_slots();
 
-    // 2. Periodic servers for the run-time tasks (plus any demoted
-    //    pre-defined tasks), per VM.
-    auto runtime = wl.runtime().filter_device(dev);
-    for (const auto& t : demoted.tasks()) runtime.add(t);
-    // The analysis must see what the hardware executes: every job carries
-    // the per-job dispatch overhead on top of its payload demand.
-    std::vector<workload::TaskSet> vm_tasks;
-    vm_tasks.reserve(config.num_vms);
-    for (std::size_t v = 0; v < config.num_vms; ++v) {
-      workload::TaskSet charged;
-      const auto vm_set =
-          runtime.filter_vm(VmId{static_cast<std::uint32_t>(v)});
-      for (auto t : vm_set.tasks()) {
-        t.wcet = std::min(t.deadline, t.wcet + config.dispatch_overhead_slots);
-        charged.add(std::move(t));
-      }
-      vm_tasks.push_back(std::move(charged));
-    }
-
-    sched::TableSupply supply(build.table);
-    auto sys = sched::design_system(supply, vm_tasks, config.server_design);
+    const sched::TableSupply supply(plan.table);
+    auto sys =
+        sched::design_system(supply, plan.vm_tasks, config.server_design);
     design.servers_feasible = sys.feasible;
     if (sys.feasible) {
       design.servers = sys.servers;
     } else {
-      design.servers = fallback_servers(vm_tasks, supply.bandwidth());
+      design.servers = fallback_servers(plan.vm_tasks, supply.bandwidth());
       if (!design.note.empty()) design.note += "; ";
       design.note += "servers: " + sys.reason + " (fallback budgets)";
     }
@@ -166,7 +170,8 @@ Hypervisor::Hypervisor(const workload::CaseStudyWorkload& wl,
     mc.mode = mode_.get();
     mc.hi_tasks = mode_ != nullptr ? &hi_tasks_ : nullptr;
     managers_.push_back(std::make_unique<VirtManager>(
-        design.spec, predefined, build.table, design.servers, mc));
+        design.spec, std::move(plan.predefined), std::move(plan.table),
+        design.servers, mc));
     designs_.push_back(std::move(design));
   }
 }

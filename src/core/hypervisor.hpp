@@ -16,6 +16,7 @@
 
 #include "core/vmanager.hpp"
 #include "sched/server_design.hpp"
+#include "sched/slot_table.hpp"
 #include "workload/generator.hpp"
 
 namespace ioguard::core {
@@ -31,6 +32,32 @@ struct DeviceDesign {
   std::vector<sched::ServerParams> servers;
   std::string note;
 };
+
+/// One device's offline design up to server synthesis: its Time Slot Table
+/// and the per-VM task sets its periodic servers must serve.
+struct DevicePlan {
+  /// Pre-defined tasks the table places: the P-channel's tasks.
+  workload::TaskSet predefined;
+  /// Pre-defined tasks demoted to the R-channel, in demotion order.
+  workload::TaskSet demoted;
+  /// Why the first placement failed; empty when nothing was demoted.
+  std::string table_failure;
+  sched::TimeSlotTable table{1};
+  /// Per VM: its run-time and demoted tasks, each WCET charged with the
+  /// per-job dispatch overhead (capped at the deadline).
+  std::vector<workload::TaskSet> vm_tasks;
+};
+
+/// Plans device `dev` of `wl`. When the pre-defined tasks do not place, the
+/// least critical, largest-utilization one is demoted to the R-channel until
+/// the rest do -- a designer would do exactly this at integration time.
+/// `dispatch_overhead_slots` is then charged onto every R-channel task, so
+/// the analysis sees what the hardware executes. core::Hypervisor and the
+/// static verifier (analysis::build_experiment_artifacts) both design from
+/// this plan.
+[[nodiscard]] DevicePlan plan_device(const workload::CaseStudyWorkload& wl,
+                                     DeviceId dev, std::size_t num_vms,
+                                     Slot dispatch_overhead_slots);
 
 struct HypervisorConfig {
   std::size_t num_vms = 4;

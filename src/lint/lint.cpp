@@ -14,7 +14,7 @@ namespace {
 constexpr const char* kAllowMarker = "IOGUARD_LINT_" "ALLOW";
 
 constexpr const char* kDeterministicModules[] = {
-    "core", "sim",    "sched",    "noc",      "iodev",  "workload",
+    "core",   "sched",  "noc",      "iodev",     "workload",
     "faults", "system", "analysis", "telemetry", "service",
 };
 

@@ -182,7 +182,7 @@ void Mesh::mark_busy(std::size_t component, bool busy) {
   }
 }
 
-sim::Activity Mesh::tick(Cycle now) {
+void Mesh::tick(Cycle now) {
   // Routers, then NICs, each in node order, as a dense tick of all of them
   // would go; a parked component's tick would change nothing (§15.4).
   const std::size_t n = node_count();
@@ -201,7 +201,6 @@ sim::Activity Mesh::tick(Cycle now) {
     mark_busy(n + i, !nic.idle());
     nic_awake_[i] = !nic.parkable();
   }
-  return idle() ? sim::Activity::kQuiescent : sim::Activity::kBusy;
 }
 
 Cycle Mesh::zero_load_latency(NodeId src, NodeId dst,

@@ -5,14 +5,16 @@
 // Nodes are indexed row-major: NodeId = y * width + x.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/stats.hpp"
+#include "common/types.hpp"
 #include "noc/router.hpp"
-#include "sim/engine.hpp"
 
 namespace ioguard::noc {
 
@@ -79,7 +81,7 @@ class Nic {
 /// The full mesh: routers, inter-router links and NICs, ticked as one unit.
 /// A tick reaches only the routers and NICs that have work; idle ones park
 /// until a flit or a send() wakes them (DESIGN.md §15.4).
-class Mesh : public sim::Tickable {
+class Mesh {
  public:
   explicit Mesh(const MeshConfig& config);
   // Routers, NIC delivery handlers and link wake flags point into this
@@ -101,8 +103,9 @@ class Mesh : public sim::Tickable {
   /// Delivery callback for packets arriving at `node`.
   void set_delivery_handler(NodeId node, Nic::DeliveryHandler handler);
 
-  sim::Activity tick(Cycle now) override;
-  [[nodiscard]] std::string name() const override { return "mesh"; }
+  /// Advances one cycle ending at `now`: the awake routers, then the awake
+  /// NICs, each in node order.
+  void tick(Cycle now);
 
   /// Minimal (uncontended) packet latency in cycles from src to dst:
   /// hops * (router + link) + serialization.

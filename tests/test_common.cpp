@@ -201,19 +201,6 @@ TEST(SampleSet, ExactPercentiles) {
   EXPECT_NEAR(s.percentile(99), 99.01, 0.05);
 }
 
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-5.0);   // clamps to bin 0
-  h.add(0.5);
-  h.add(9.99);
-  h.add(42.0);   // clamps to last bin
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 3.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(3), 4.0);
-}
-
 TEST(RingBuffer, FifoOrderAndBackPressure) {
   RingBuffer<int> rb(3);
   EXPECT_TRUE(rb.empty());

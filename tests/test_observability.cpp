@@ -11,7 +11,6 @@
 
 #include "common/jitter.hpp"
 #include "core/event_trace.hpp"
-#include "sim/engine.hpp"
 #include "system/checkpoint.hpp"
 #include "system/runner.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -486,54 +485,6 @@ TEST_F(FlightTest, CheckpointRoundTripsObservabilityFields) {
               original.profile[i].quiescent_slots);
   }
   EXPECT_EQ(restored.flight_dumps, original.flight_dumps);
-}
-
-// ---- engine cycle-attribution profiler -------------------------------------
-
-class ToggleComponent : public sim::Tickable {
- public:
-  explicit ToggleComponent(std::string name) : name_(std::move(name)) {}
-  sim::Activity tick(Cycle now) override {
-    return now % 3 == 0   ? sim::Activity::kBusy
-           : now % 3 == 1 ? sim::Activity::kStall
-                          : sim::Activity::kQuiescent;
-  }
-  [[nodiscard]] std::string name() const override { return name_; }
-
- private:
-  std::string name_;
-};
-
-TEST(EngineProfiler, CountsPartitionProfiledCycles) {
-  sim::Engine engine;
-  ToggleComponent toggling("toggling");
-  engine.add(&toggling);
-  engine.enable_profiling();
-  engine.run_until(299);  // cycles 0..299
-
-  const auto profile = engine.profile();
-  ASSERT_EQ(profile.size(), 1u);
-  EXPECT_EQ(profile[0].name, "toggling");
-  EXPECT_EQ(profile[0].total_cycles(), 300u);
-  EXPECT_EQ(profile[0].busy_cycles, 100u);
-  EXPECT_EQ(profile[0].stall_cycles, 100u);
-  EXPECT_EQ(profile[0].quiescent_cycles, 100u);
-}
-
-TEST(EngineProfiler, OffByDefaultAndCountsOnlyWhileEnabled) {
-  sim::Engine engine;
-  ToggleComponent c("c");
-  engine.add(&c);
-  engine.run_until(99);
-  EXPECT_FALSE(engine.profiling());
-  auto profile = engine.profile();
-  ASSERT_EQ(profile.size(), 1u);
-  EXPECT_EQ(profile[0].total_cycles(), 0u);
-
-  engine.enable_profiling();
-  engine.run_until(149);  // cycles 100..149
-  profile = engine.profile();
-  EXPECT_EQ(profile[0].total_cycles(), 50u);
 }
 
 }  // namespace
