@@ -4,19 +4,27 @@
 // What does the event-driven runner buy on real case-study trials? Identical
 // seeds run in event mode and on the retained slot-stepped reference
 // (TrialConfig::stepped); trial summaries are byte-compared before any
-// timing is trusted. Expected shape: >= 3x on the low-utilization point, ~1x
-// at the fully-loaded worst case.
+// timing is trusted. Each trial then runs kRepetitions times per mode, the
+// modes alternating which goes first, and a mode's time is the sum of its
+// trials' fastest runs: other load on the host slows single runs and never
+// speeds one up, so the fastest run is the one that measures the code.
+// Expected shape: >= 3x on the low-utilization point, ~1x at the
+// fully-loaded worst case.
 //
 // BENCH_engine.json carries the measured ratios in the "metrics" object;
 // CI gates metrics.event_speedup_low_util via check_bench.py --min-metric.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <numeric>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench_json.hpp"
 #include "common/env.hpp"
@@ -54,23 +62,23 @@ TrialConfig make_config(const SystemPoint& p, std::uint64_t seed,
   return tc;
 }
 
-/// Wall seconds for `trials` sequential trials; the first trial's summary
-/// bytes land in `summary` for the cross-mode identity check.
-double time_system(const SystemPoint& p, std::size_t trials, bool stepped,
-                   std::string& summary) {
-  double wall = 0.0;
-  for (std::size_t t = 0; t < trials; ++t) {
-    const TrialConfig tc = make_config(p, t + 1, stepped);
-    const auto t0 = std::chrono::steady_clock::now();
-    const TrialResult result = run_trial(tc);
-    wall += seconds_since(t0);
-    benchmark::DoNotOptimize(result.jobs_counted);
-    if (t == 0) {
-      std::ostringstream os;
-      write_trial_summary_json(os, tc, result);
-      summary = os.str();
-    }
-  }
+/// Timed runs of every trial per mode, alternating which mode goes first.
+constexpr int kRepetitions = 5;
+
+/// Summary bytes of one trial, for the cross-mode identity check.
+std::string trial_summary(const TrialConfig& tc) {
+  const TrialResult result = run_trial(tc);
+  std::ostringstream os;
+  write_trial_summary_json(os, tc, result);
+  return os.str();
+}
+
+/// Wall seconds of one trial.
+double time_trial(const TrialConfig& tc) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const TrialResult result = run_trial(tc);
+  const double wall = seconds_since(t0);
+  benchmark::DoNotOptimize(result.jobs_counted);
   return wall;
 }
 
@@ -86,15 +94,30 @@ void system_sweep(bench::BenchReport& report) {
             << " trials per point) ===\n";
   TextTable table({"point", "stepped_s", "event_s", "speedup"});
   for (const SystemPoint& p : points) {
-    std::string event_summary, stepped_summary;
-    const double event_wall = time_system(p, trials, false, event_summary);
-    const double stepped_wall = time_system(p, trials, true, stepped_summary);
-    if (event_summary != stepped_summary) {
-      std::cerr << "FATAL: event-driven trial diverged from the stepped "
-                   "reference at "
-                << p.label << "\n";
-      std::exit(1);
+    for (std::size_t t = 0; t < trials; ++t) {
+      if (trial_summary(make_config(p, t + 1, false)) !=
+          trial_summary(make_config(p, t + 1, true))) {
+        std::cerr << "FATAL: event-driven trial diverged from the stepped "
+                     "reference at "
+                  << p.label << "\n";
+        std::exit(1);
+      }
     }
+    constexpr double kUnset = std::numeric_limits<double>::infinity();
+    std::vector<double> best_event(trials, kUnset);
+    std::vector<double> best_stepped(trials, kUnset);
+    for (int rep = 0; rep < kRepetitions; ++rep) {
+      for (const bool stepped : {rep % 2 == 1, rep % 2 == 0}) {
+        std::vector<double>& best = stepped ? best_stepped : best_event;
+        for (std::size_t t = 0; t < trials; ++t)
+          best[t] = std::min(best[t],
+                             time_trial(make_config(p, t + 1, stepped)));
+      }
+    }
+    const double event_wall =
+        std::accumulate(best_event.begin(), best_event.end(), 0.0);
+    const double stepped_wall =
+        std::accumulate(best_stepped.begin(), best_stepped.end(), 0.0);
     const double speedup = stepped_wall / event_wall;
     table.add(p.label, fmt_double(stepped_wall, 3), fmt_double(event_wall, 3),
               fmt_double(speedup, 2) + "x");
@@ -105,8 +128,9 @@ void system_sweep(bench::BenchReport& report) {
     report.add_metric(std::string("event_speedup_") + p.label, speedup);
   }
   table.render(std::cout);
-  std::cout << "modes byte-compared via trial summaries before timing was "
-               "trusted\n\n";
+  std::cout << "modes byte-compared via trial summaries before timing; each "
+               "mode timed by its trials' fastest of "
+            << kRepetitions << " alternating repetitions\n\n";
 }
 
 }  // namespace

@@ -34,12 +34,7 @@ std::uint32_t crc32(std::string_view data) {
 }
 
 std::uint64_t fnv1a64(std::string_view data) {
-  std::uint64_t hash = 0xCBF29CE484222325ull;
-  for (const char ch : data) {
-    hash ^= static_cast<std::uint8_t>(ch);
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
+  return fnv1a64_update(fnv1a64_init(), data);
 }
 
 }  // namespace ioguard

@@ -26,4 +26,19 @@ namespace ioguard {
 /// fingerprint canonical config strings (not a cryptographic hash).
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view data);
 
+/// Incremental form: chaining `fnv1a64_update` over the pieces of a string,
+/// starting from fnv1a64_init(), gives fnv1a64 of the whole string, so a
+/// fingerprint can be taken without building the string.
+[[nodiscard]] constexpr std::uint64_t fnv1a64_init() {
+  return 0xCBF29CE484222325ull;
+}
+[[nodiscard]] constexpr std::uint64_t fnv1a64_update(std::uint64_t state,
+                                                     std::string_view data) {
+  for (const char ch : data) {
+    state ^= static_cast<std::uint8_t>(ch);
+    state *= 0x100000001B3ull;
+  }
+  return state;
+}
+
 }  // namespace ioguard

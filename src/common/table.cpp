@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <iomanip>
 #include <ostream>
-#include <sstream>
 
+#include "common/appender.hpp"
 #include "common/check.hpp"
 
 namespace ioguard {
@@ -71,9 +71,9 @@ void TextTable::render_csv(std::ostream& os) const {
 }
 
 std::string fmt_double(double v, int precision) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(precision) << v;
-  return os.str();
+  std::string out;
+  Appender(&out).put_fixed(v, precision);
+  return out;
 }
 
 }  // namespace ioguard

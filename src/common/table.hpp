@@ -34,7 +34,8 @@ class TextTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Formats a double with fixed precision (helper for table cells).
+/// Formats a double with fixed precision (helper for table cells): the bytes
+/// of printf("%.*f"), through Appender::put_fixed.
 std::string fmt_double(double v, int precision = 2);
 
 template <class T>

@@ -1,30 +1,8 @@
 #include "service/admission_api.hpp"
 
-#include <sstream>
-
-#include "common/table.hpp"
+#include "common/appender.hpp"
 
 namespace ioguard::service {
-
-namespace {
-
-void append_result(std::ostringstream& os, const sched::AdmissionResult& r) {
-  os << "schedulable=" << (r.schedulable ? 1 : 0)
-     << "|checked_until=" << r.checked_until << "|violation=";
-  if (r.violation_t) {
-    os << *r.violation_t;
-  } else {
-    os << '-';
-  }
-}
-
-std::string hex64(std::uint64_t v) {
-  std::ostringstream os;
-  os << std::hex << v;
-  return "0x" + os.str();
-}
-
-}  // namespace
 
 const char* to_string(RequestOp op) {
   switch (op) {
@@ -38,25 +16,39 @@ const char* to_string(RequestOp op) {
 }
 
 std::string AdmissionDecision::canonical_string() const {
-  std::ostringstream os;
-  os << "decision|op=" << to_string(op) << "|tenant=" << tenant
-     << "|vm=" << vm << "|applied=" << (applied ? 1 : 0)
-     << "|admitted=" << (admitted ? 1 : 0) << "|reason=" << reason << '\n';
-  os << "global|";
-  append_result(os, global);
-  os << '\n';
+  std::string out;
+  Appender a(&out);
+  const auto result = [&a](const sched::AdmissionResult& r) {
+    a.put("schedulable=").put_int(r.schedulable ? 1 : 0)
+        .put("|checked_until=").put_int(r.checked_until)
+        .put("|violation=");
+    if (r.violation_t) {
+      a.put_int(*r.violation_t);
+    } else {
+      a.put_char('-');
+    }
+  };
+  a.put("decision|op=").put(to_string(op)).put("|tenant=").put(tenant)
+      .put("|vm=").put(vm).put("|applied=").put_int(applied ? 1 : 0)
+      .put("|admitted=").put_int(admitted ? 1 : 0).put("|reason=").put(reason)
+      .put_char('\n');
+  a.put("global|");
+  result(global);
+  a.put_char('\n');
   for (const auto& v : per_vm) {
-    os << "vm|" << v.tenant << '/' << v.vm << "|pi=" << v.server.pi
-       << "|theta=" << v.server.theta << "|tasks=" << v.task_count
-       << "|util=" << fmt_double(v.utilization, 6) << '|';
-    append_result(os, v.local);
-    os << '\n';
+    a.put("vm|").put(v.tenant).put_char('/').put(v.vm)
+        .put("|pi=").put_int(v.server.pi)
+        .put("|theta=").put_int(v.server.theta)
+        .put("|tasks=").put_int(v.task_count)
+        .put("|util=").put_fixed(v.utilization, 6).put_char('|');
+    result(v.local);
+    a.put_char('\n');
   }
-  os << "fleet|vms=" << fleet_vms
-     << "|allocated_bw=" << fmt_double(allocated_bandwidth, 6)
-     << "|supply_bw=" << fmt_double(supply_bandwidth, 6)
-     << "|fingerprint=" << hex64(fleet_fingerprint) << '\n';
-  return os.str();
+  a.put("fleet|vms=").put_int(fleet_vms)
+      .put("|allocated_bw=").put_fixed(allocated_bandwidth, 6)
+      .put("|supply_bw=").put_fixed(supply_bandwidth, 6)
+      .put("|fingerprint=0x").put_hex(fleet_fingerprint).put_char('\n');
+  return out;
 }
 
 }  // namespace ioguard::service

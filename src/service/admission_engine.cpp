@@ -1,8 +1,8 @@
 #include "service/admission_engine.hpp"
 
-#include <sstream>
 #include <utility>
 
+#include "common/appender.hpp"
 #include "common/check.hpp"
 #include "common/checksum.hpp"
 #include "sched/admission.hpp"
@@ -13,23 +13,63 @@ namespace ioguard::service {
 
 namespace {
 
-std::string server_canon(const sched::ServerParams& s) {
-  return "pi=" + std::to_string(s.pi) + ",theta=" + std::to_string(s.theta);
+/// "pi=<Pi>,theta=<Theta>": a server's bytes in every cache key and in the
+/// fleet fingerprint.
+void put_server(Appender& a, const sched::ServerParams& s) {
+  a.put("pi=").put_int(s.pi).put(",theta=").put_int(s.theta);
+}
+
+/// What is wrong with one task of an admit/update, or nullptr; the message
+/// is formatted only for a task that fails.
+const char* task_problem(const workload::IoTaskSpec& t) {
+  if (t.period == 0) return "period must be > 0";
+  if (t.wcet == 0) return "wcet must be > 0";
+  if (t.deadline == 0 || t.deadline > t.period)
+    return "deadline must be in (0, period] (slots)";
+  if (t.wcet > t.deadline) return "wcet must be <= deadline";
+  if (t.wcet_hi != 0 && t.wcet_hi < t.wcet)
+    return "HI budget wcet_hi must dominate wcet (C_lo <= C_hi)";
+  if (t.wcet_hi > t.deadline) return "HI budget must be <= deadline";
+  return nullptr;
 }
 
 }  // namespace
 
 std::string task_set_canonical_string(const workload::TaskSet& tasks) {
-  std::ostringstream os;
+  std::string out;
+  Appender a(&out);
   for (const auto& t : tasks.tasks()) {
-    os << t.id.value << ':' << t.period << ':' << t.wcet << ':' << t.deadline;
+    a.put_int(t.id.value).put_char(':').put_int(t.period).put_char(':')
+        .put_int(t.wcet).put_char(':').put_int(t.deadline);
     // Dual-criticality suffix only for HI tasks: a LO task's wcet_hi is
     // analysis-irrelevant (LO work is shed in HI mode), and LO-only sets
     // must keep their exact pre-MCS canonical bytes.
-    if (t.hi_criticality()) os << ":HI:" << t.effective_wcet_hi();
-    os << ';';
+    if (t.hi_criticality()) a.put(":HI:").put_int(t.effective_wcet_hi());
+    a.put_char(';');
   }
-  return os.str();
+  return out;
+}
+
+AdmissionEngine::VmEntry::VmEntry(workload::TaskSet tasks_in,
+                                  std::string task_canon_in,
+                                  sched::ServerParams server_in,
+                                  double mcs_hi_budget_factor)
+    : tasks(std::move(tasks_in)),
+      server(server_in),
+      task_canon(std::move(task_canon_in)),
+      utilization(tasks.utilization()),
+      mixed(tasks.mixed_criticality()) {
+  Appender a(&server_canon);
+  put_server(a, server);
+  // Theorem 4 key: "<server canon>|<task canon>". Mixed entries fold the
+  // inflation factor in (the verdict depends on it); single-criticality
+  // keys keep their pre-MCS bytes.
+  local_key = fnv1a64_update(
+      fnv1a64_update(fnv1a64_update(fnv1a64_init(), server_canon), "|"),
+      task_canon);
+  if (mixed)
+    local_key = fnv1a64_update(
+        local_key, "|mcs_factor=" + std::to_string(mcs_hi_budget_factor));
 }
 
 AdmissionEngine::AdmissionEngine(sched::TimeSlotTable table,
@@ -53,19 +93,9 @@ Status AdmissionEngine::validate(const AdmissionRequest& request) const {
     if (request.tasks.empty())
       return InvalidArgumentError("admit/update needs a non-empty task set");
     for (const auto& t : request.tasks.tasks()) {
-      const std::string tag = "task " + std::to_string(t.id.value) + ": ";
-      if (t.period == 0) return InvalidArgumentError(tag + "period must be > 0");
-      if (t.wcet == 0) return InvalidArgumentError(tag + "wcet must be > 0");
-      if (t.deadline == 0 || t.deadline > t.period)
-        return InvalidArgumentError(tag +
-                                    "deadline must be in (0, period] (slots)");
-      if (t.wcet > t.deadline)
-        return InvalidArgumentError(tag + "wcet must be <= deadline");
-      if (t.wcet_hi != 0 && t.wcet_hi < t.wcet)
-        return InvalidArgumentError(
-            tag + "HI budget wcet_hi must dominate wcet (C_lo <= C_hi)");
-      if (t.wcet_hi > t.deadline)
-        return InvalidArgumentError(tag + "HI budget must be <= deadline");
+      if (const char* problem = task_problem(t))
+        return InvalidArgumentError("task " + std::to_string(t.id.value) +
+                                    ": " + problem);
     }
     if (request.server) {
       if (request.server->pi == 0)
@@ -88,7 +118,8 @@ StatusOr<AdmissionDecision> AdmissionEngine::handle(
   switch (request.op) {
     case RequestOp::kAdmit:
     case RequestOp::kUpdate: {
-      const bool exists = fleet_.find(key) != fleet_.end();
+      auto it = fleet_.find(key);
+      const bool exists = it != fleet_.end();
       if (request.op == RequestOp::kAdmit && exists)
         return FailedPreconditionError("vm already admitted: " +
                                        request.tenant + "/" + request.vm);
@@ -96,18 +127,16 @@ StatusOr<AdmissionDecision> AdmissionEngine::handle(
         return NotFoundError("vm not in fleet: " + request.tenant + "/" +
                              request.vm);
 
-      VmEntry entry;
-      entry.tasks = request.tasks;
-      entry.task_canon = task_set_canonical_string(request.tasks);
+      std::string task_canon = task_set_canonical_string(request.tasks);
+      sched::ServerParams server;
       if (request.server) {
-        entry.server = *request.server;
+        server = *request.server;
       } else {
-        const auto designed =
-            synthesized_server(entry.tasks, entry.task_canon);
+        const auto designed = synthesized_server(request.tasks, task_canon);
         if (!designed) {
           // Analytic dead end, not a caller error: no server in the search
           // space carries this task set. Report the unchanged fleet.
-          decision = evaluate(request, fleet_);
+          decision = evaluate(request);
           decision.admitted = false;
           decision.applied = false;
           decision.reason = "no server over the Pi menu passes Theorem 4 for " +
@@ -115,17 +144,29 @@ StatusOr<AdmissionDecision> AdmissionEngine::handle(
           ++counters_.rejected;
           break;
         }
-        entry.server = *designed;
+        server = *designed;
       }
 
-      Fleet tentative = fleet_;
-      tentative[key] = std::move(entry);
-      decision = evaluate(request, tentative);
+      // Evaluate with the new entry in place; a rejection restores the
+      // previous entry, or its absence.
+      VmEntry entry(request.tasks, std::move(task_canon), server,
+                    config_.mcs_hi_budget_factor);
+      std::optional<VmEntry> previous;
+      if (exists) {
+        previous = std::exchange(it->second, std::move(entry));
+      } else {
+        it = fleet_.emplace(key, std::move(entry)).first;
+      }
+      decision = evaluate(request);
       decision.applied = decision.admitted;
       if (decision.applied) {
-        fleet_ = std::move(tentative);
         ++counters_.applied;
       } else {
+        if (previous) {
+          it->second = std::move(*previous);
+        } else {
+          fleet_.erase(it);
+        }
         ++counters_.rejected;
       }
       break;
@@ -136,7 +177,7 @@ StatusOr<AdmissionDecision> AdmissionEngine::handle(
         return NotFoundError("vm not in fleet: " + request.tenant + "/" +
                              request.vm);
       fleet_.erase(it);
-      decision = evaluate(request, fleet_);
+      decision = evaluate(request);
       decision.applied = true;
       ++counters_.applied;
       break;
@@ -153,13 +194,13 @@ StatusOr<AdmissionDecision> AdmissionEngine::handle(
       }
       if (!any)
         return NotFoundError("tenant has no admitted vms: " + request.tenant);
-      decision = evaluate(request, fleet_);
+      decision = evaluate(request);
       decision.applied = true;
       ++counters_.applied;
       break;
     }
     case RequestOp::kQuery: {
-      decision = evaluate(request, fleet_);
+      decision = evaluate(request);
       decision.applied = false;
       break;
     }
@@ -170,8 +211,7 @@ StatusOr<AdmissionDecision> AdmissionEngine::handle(
   return decision;
 }
 
-AdmissionDecision AdmissionEngine::evaluate(const AdmissionRequest& request,
-                                            const Fleet& fleet) {
+AdmissionDecision AdmissionEngine::evaluate(const AdmissionRequest& request) {
   AdmissionDecision d;
   d.op = request.op;
   d.tenant = request.tenant;
@@ -182,21 +222,25 @@ AdmissionDecision AdmissionEngine::evaluate(const AdmissionRequest& request,
   // case: block propagation can put every VM in HI mode simultaneously, so
   // Theorem 2 is re-checked over the inflated servers too.
   bool fleet_mixed = false;
-  for (const auto& [fk, entry] : fleet)
-    if (entry.tasks.mixed_criticality()) fleet_mixed = true;
+  for (const auto& [fk, entry] : fleet_)
+    if (entry.mixed) fleet_mixed = true;
 
   std::vector<sched::ServerParams> active;
   std::vector<sched::ServerParams> active_hi;
-  active.reserve(fleet.size());
+  active.reserve(fleet_.size());
+  d.per_vm.reserve(fleet_.size());
+  std::uint64_t global_key = fnv1a64_init();
+  std::string hi_canon;
+  Appender hi(&hi_canon);
   bool all_local = true;
   std::string local_reason;
-  for (const auto& [fk, entry] : fleet) {
+  for (const auto& [fk, entry] : fleet_) {
     VmVerdict v;
     v.tenant = fk.first;
     v.vm = fk.second;
     v.server = entry.server;
     v.task_count = entry.tasks.size();
-    v.utilization = entry.tasks.utilization();
+    v.utilization = entry.utilization;
     v.local = local_verdict(entry);
     if (!v.local.schedulable && all_local) {
       all_local = false;
@@ -205,18 +249,24 @@ AdmissionDecision AdmissionEngine::evaluate(const AdmissionRequest& request,
     }
     if (entry.server.theta > 0) {
       active.push_back(entry.server);
-      if (fleet_mixed)
+      global_key = fnv1a64_update(
+          fnv1a64_update(global_key, entry.server_canon), ";");
+      if (fleet_mixed) {
         active_hi.push_back(sched::inflate_server(
             entry.server, config_.mcs_hi_budget_factor));
+        put_server(hi, active_hi.back());
+        hi.put_char(';');
+      }
       d.allocated_bandwidth += entry.server.bandwidth();
     }
     d.per_vm.push_back(std::move(v));
   }
-  d.global = global_verdict(active);
+  d.global = global_verdict(active, global_key);
   bool global_ok = d.global.schedulable;
   std::string global_reason = "G-level (Theorem 2) rejected";
   if (global_ok && fleet_mixed) {
-    const auto hi_global = global_verdict(active_hi, /*hi_regime=*/true);
+    const auto hi_global =
+        global_verdict(active_hi, fnv1a64(hi_canon), /*hi_regime=*/true);
     if (!hi_global.schedulable) {
       d.global = hi_global;
       global_ok = false;
@@ -229,9 +279,8 @@ AdmissionDecision AdmissionEngine::evaluate(const AdmissionRequest& request,
 }
 
 sched::AdmissionResult AdmissionEngine::local_verdict(const VmEntry& entry) {
-  const bool mixed = entry.tasks.mixed_criticality();
   const auto compute = [&]() -> sched::AdmissionResult {
-    if (!mixed) return theorem4_check(entry.server, entry.tasks);
+    if (!entry.mixed) return theorem4_check(entry.server, entry.tasks);
     // Dual-criticality sets answer the three-regime question; the fold
     // keeps one AdmissionResult on the decision surface: the LO regime's
     // when all pass, the first failing regime's otherwise.
@@ -245,11 +294,7 @@ sched::AdmissionResult AdmissionEngine::local_verdict(const VmEntry& entry) {
     ++counters_.local_misses;
     return compute();
   }
-  // Mixed entries fold the inflation factor into the key (the verdict
-  // depends on it); single-criticality keys keep their pre-MCS bytes.
-  std::string canon = server_canon(entry.server) + "|" + entry.task_canon;
-  if (mixed) canon += "|mcs_factor=" + std::to_string(config_.mcs_hi_budget_factor);
-  const auto key = fnv1a64(canon);
+  const std::uint64_t key = entry.local_key;
   if (const auto it = local_cache_.find(key); it != local_cache_.end()) {
     ++counters_.local_hits;
     return it->second;
@@ -261,7 +306,8 @@ sched::AdmissionResult AdmissionEngine::local_verdict(const VmEntry& entry) {
 }
 
 sched::AdmissionResult AdmissionEngine::global_verdict(
-    const std::vector<sched::ServerParams>& active, bool hi_regime) {
+    const std::vector<sched::ServerParams>& active, std::uint64_t key,
+    bool hi_regime) {
   // HI-regime re-checks are accounted separately so the ADM005 invariant
   // (one LO global verdict per decision) survives mixed fleets.
   auto& hits = hi_regime ? counters_.hi_global_hits : counters_.global_hits;
@@ -271,9 +317,6 @@ sched::AdmissionResult AdmissionEngine::global_verdict(
     ++misses;
     return theorem2_check(supply_, active);
   }
-  std::string canon;
-  for (const auto& s : active) canon += server_canon(s) + ";";
-  const auto key = fnv1a64(canon);
   if (const auto it = global_cache_.find(key); it != global_cache_.end()) {
     ++hits;
     return it->second;
@@ -306,17 +349,19 @@ std::optional<sched::ServerParams> AdmissionEngine::synthesized_server(
   return designed;
 }
 
-std::string AdmissionEngine::fleet_canonical_string(const Fleet& fleet) {
-  std::string canon;
-  for (const auto& [fk, entry] : fleet) {
-    canon += fk.first + "/" + fk.second + "|" + server_canon(entry.server) +
-             "|" + entry.task_canon + "\n";
-  }
-  return canon;
-}
-
 std::uint64_t AdmissionEngine::fleet_fingerprint() const {
-  return fnv1a64(fleet_canonical_string(fleet_));
+  std::uint64_t h = fnv1a64_init();
+  for (const auto& [fk, entry] : fleet_) {
+    h = fnv1a64_update(h, fk.first);
+    h = fnv1a64_update(h, "/");
+    h = fnv1a64_update(h, fk.second);
+    h = fnv1a64_update(h, "|");
+    h = fnv1a64_update(h, entry.server_canon);
+    h = fnv1a64_update(h, "|");
+    h = fnv1a64_update(h, entry.task_canon);
+    h = fnv1a64_update(h, "\n");
+  }
+  return h;
 }
 
 void AdmissionEngine::export_metrics(

@@ -70,8 +70,10 @@ class AdmissionEngine {
   }
   [[nodiscard]] const AdmissionEngineConfig& config() const { return config_; }
 
-  /// fnv1a64 of the committed fleet's canonical string (stable identity for
-  /// replay checks; also stamped into every decision).
+  /// fnv1a64 of the committed fleet's canonical bytes, one
+  /// "<tenant>/<vm>|pi=<Pi>,theta=<Theta>|<task canon>\n" line per VM in
+  /// fleet order, hashed piece by piece (stable identity for replay checks;
+  /// also stamped into every decision).
   [[nodiscard]] std::uint64_t fleet_fingerprint() const;
 
   /// Publishes EngineCounters as ioguard_admission_* telemetry series.
@@ -85,10 +87,20 @@ class AdmissionEngine {
   void poison_local_cache_for_testing();
 
  private:
+  /// One admitted VM with everything a decision reads of it that depends
+  /// only on the VM: computed once when the VM is admitted or updated, so a
+  /// request costs the VM it changes, not the fleet's task sets.
   struct VmEntry {
+    VmEntry(workload::TaskSet tasks, std::string task_canon,
+            sched::ServerParams server, double mcs_hi_budget_factor);
+
     workload::TaskSet tasks;
     sched::ServerParams server;
-    std::string task_canon;  ///< canonical task-set string (fingerprint input)
+    std::string task_canon;    ///< task_set_canonical_string(tasks)
+    std::string server_canon;  ///< "pi=<Pi>,theta=<Theta>"
+    std::uint64_t local_key = 0;  ///< Theorem 4 cache key (local_cache_)
+    double utilization = 0.0;     ///< tasks.utilization()
+    bool mixed = false;           ///< tasks.mixed_criticality()
   };
   /// Fleet keyed (tenant, vm): std::map gives the canonical iteration order
   /// every decision, fingerprint and global-layer key is built in.
@@ -96,26 +108,26 @@ class AdmissionEngine {
   using Fleet = std::map<FleetKey, VmEntry>;
 
   [[nodiscard]] Status validate(const AdmissionRequest& request) const;
-  [[nodiscard]] StatusOr<VmEntry> make_entry(const AdmissionRequest& request);
-  [[nodiscard]] AdmissionDecision evaluate(const AdmissionRequest& request,
-                                           const Fleet& fleet);
+  /// The two-layer verdict over the fleet as it stands: admit and update
+  /// put their entry in place first and restore the old state on rejection.
+  [[nodiscard]] AdmissionDecision evaluate(const AdmissionRequest& request);
 
   /// L-level verdict for one VM, through the local cache when memoizing:
   /// Theorem 4 for single-criticality sets, the three-regime dual-
   /// criticality check (sched::mcs_admission_check) for mixed sets, folded
   /// to the first failing regime's result.
   [[nodiscard]] sched::AdmissionResult local_verdict(const VmEntry& entry);
-  /// Theorem 2 over the active servers, through the global cache.
+  /// Theorem 2 over the active servers, through the global cache under
+  /// `key` (fnv1a64 of "pi=<Pi>,theta=<Theta>;" per active server).
   /// `hi_regime` routes the hit/miss accounting to the HI counters (the
   /// all-switched re-check of a mixed fleet), keeping ADM005's one-LO-
   /// verdict-per-decision invariant intact.
   [[nodiscard]] sched::AdmissionResult global_verdict(
-      const std::vector<sched::ServerParams>& active, bool hi_regime = false);
+      const std::vector<sched::ServerParams>& active, std::uint64_t key,
+      bool hi_regime = false);
   /// Synthesis through the synthesis cache; nullopt = no feasible server.
   [[nodiscard]] std::optional<sched::ServerParams> synthesized_server(
       const workload::TaskSet& tasks, const std::string& task_canon);
-
-  [[nodiscard]] static std::string fleet_canonical_string(const Fleet& fleet);
 
   sched::TimeSlotTable table_;
   sched::TableSupply supply_;

@@ -3,9 +3,8 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
-#include <sstream>
 
-#include "common/table.hpp"
+#include "common/appender.hpp"
 
 namespace ioguard::service {
 
@@ -259,44 +258,17 @@ StatusOr<sched::ServerParams> decode_server(const Json& object) {
 // ---------------------------------------------------------------------------
 // Canonical encoding.
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-std::string hex64(std::uint64_t v) {
-  std::ostringstream os;
-  os << std::hex << v;
-  return "0x" + os.str();
-}
-
-void append_result(std::ostringstream& os, const sched::AdmissionResult& r) {
-  os << "{\"schedulable\":" << (r.schedulable ? "true" : "false")
-     << ",\"checked_until\":" << r.checked_until << ",\"violation\":";
+/// {"schedulable":...,"checked_until":...,"violation":...} of one verdict.
+void put_result(Appender& a, const sched::AdmissionResult& r) {
+  a.put(R"({"schedulable":)").put(r.schedulable ? "true" : "false")
+      .put(R"(,"checked_until":)").put_int(r.checked_until)
+      .put(R"(,"violation":)");
   if (r.violation_t) {
-    os << *r.violation_t;
+    a.put_int(*r.violation_t);
   } else {
-    os << "null";
+    a.put("null");
   }
-  os << '}';
+  a.put_char('}');
 }
 
 /// Lowercase wire form of a status code, e.g. "invalid_argument".
@@ -376,55 +348,68 @@ StatusOr<WireRequest> decode_request(std::string_view line) {
 }
 
 std::string encode_decision(const AdmissionDecision& decision) {
-  std::ostringstream os;
-  os << "{\"ok\":true,\"op\":\"" << to_string(decision.op) << "\",\"tenant\":\""
-     << json_escape(decision.tenant) << "\",\"vm\":\""
-     << json_escape(decision.vm) << "\",\"applied\":"
-     << (decision.applied ? "true" : "false")
-     << ",\"admitted\":" << (decision.admitted ? "true" : "false")
-     << ",\"reason\":\"" << json_escape(decision.reason) << "\",\"fleet_vms\":"
-     << decision.fleet_vms << ",\"allocated_bw\":"
-     << fmt_double(decision.allocated_bandwidth, 6) << ",\"supply_bw\":"
-     << fmt_double(decision.supply_bandwidth, 6) << ",\"fingerprint\":\""
-     << hex64(decision.fleet_fingerprint) << "\",\"global\":";
-  append_result(os, decision.global);
-  os << ",\"per_vm\":[";
+  std::string out;
+  // Room for the fixed fields and ~150 bytes per VM: one allocation.
+  out.reserve(384 + 160 * decision.per_vm.size());
+  Appender a(&out);
+  a.put(R"({"ok":true,"op":")").put(to_string(decision.op))
+      .put(R"(","tenant":")").put_json_escaped(decision.tenant)
+      .put(R"(","vm":")").put_json_escaped(decision.vm)
+      .put(R"(","applied":)").put(decision.applied ? "true" : "false")
+      .put(R"(,"admitted":)").put(decision.admitted ? "true" : "false")
+      .put(R"(,"reason":")").put_json_escaped(decision.reason)
+      .put(R"(","fleet_vms":)").put_int(decision.fleet_vms)
+      .put(R"(,"allocated_bw":)").put_fixed(decision.allocated_bandwidth, 6)
+      .put(R"(,"supply_bw":)").put_fixed(decision.supply_bandwidth, 6)
+      .put(R"(,"fingerprint":"0x)").put_hex(decision.fleet_fingerprint)
+      .put(R"(","global":)");
+  put_result(a, decision.global);
+  a.put(R"(,"per_vm":[)");
   for (std::size_t i = 0; i < decision.per_vm.size(); ++i) {
     const VmVerdict& v = decision.per_vm[i];
-    if (i > 0) os << ',';
-    os << "{\"tenant\":\"" << json_escape(v.tenant) << "\",\"vm\":\""
-       << json_escape(v.vm) << "\",\"pi\":" << v.server.pi
-       << ",\"theta\":" << v.server.theta << ",\"tasks\":" << v.task_count
-       << ",\"util\":" << fmt_double(v.utilization, 6) << ",\"local\":";
-    append_result(os, v.local);
-    os << '}';
+    if (i > 0) a.put_char(',');
+    a.put(R"({"tenant":")").put_json_escaped(v.tenant)
+        .put(R"(","vm":")").put_json_escaped(v.vm)
+        .put(R"(","pi":)").put_int(v.server.pi)
+        .put(R"(,"theta":)").put_int(v.server.theta)
+        .put(R"(,"tasks":)").put_int(v.task_count)
+        .put(R"(,"util":)").put_fixed(v.utilization, 6)
+        .put(R"(,"local":)");
+    put_result(a, v.local);
+    a.put_char('}');
   }
-  os << "]}";
-  return os.str();
+  a.put("]}");
+  return out;
 }
 
 std::string encode_error(const Status& status) {
-  return "{\"ok\":false,\"code\":\"" + wire_code(status.code()) +
-         "\",\"error\":\"" + json_escape(status.message()) + "\"}";
+  std::string out;
+  Appender(&out)
+      .put(R"({"ok":false,"code":")").put(wire_code(status.code()))
+      .put(R"(","error":")").put_json_escaped(status.message())
+      .put(R"("})");
+  return out;
 }
 
 std::string encode_counters(const EngineCounters& counters,
                             std::size_t fleet_vms,
                             std::uint64_t fleet_fingerprint) {
-  std::ostringstream os;
-  os << "{\"ok\":true,\"stats\":{\"requests\":" << counters.requests
-     << ",\"applied\":" << counters.applied
-     << ",\"rejected\":" << counters.rejected
-     << ",\"local_hits\":" << counters.local_hits
-     << ",\"local_misses\":" << counters.local_misses
-     << ",\"global_hits\":" << counters.global_hits
-     << ",\"global_misses\":" << counters.global_misses
-     << ",\"synth_hits\":" << counters.synth_hits
-     << ",\"synth_misses\":" << counters.synth_misses
-     << ",\"vms_reanalyzed\":" << counters.vms_reanalyzed()
-     << ",\"fleet_vms\":" << fleet_vms << ",\"fingerprint\":\""
-     << hex64(fleet_fingerprint) << "\"}}";
-  return os.str();
+  std::string out;
+  Appender(&out)
+      .put(R"({"ok":true,"stats":{"requests":)").put_int(counters.requests)
+      .put(R"(,"applied":)").put_int(counters.applied)
+      .put(R"(,"rejected":)").put_int(counters.rejected)
+      .put(R"(,"local_hits":)").put_int(counters.local_hits)
+      .put(R"(,"local_misses":)").put_int(counters.local_misses)
+      .put(R"(,"global_hits":)").put_int(counters.global_hits)
+      .put(R"(,"global_misses":)").put_int(counters.global_misses)
+      .put(R"(,"synth_hits":)").put_int(counters.synth_hits)
+      .put(R"(,"synth_misses":)").put_int(counters.synth_misses)
+      .put(R"(,"vms_reanalyzed":)").put_int(counters.vms_reanalyzed())
+      .put(R"(,"fleet_vms":)").put_int(fleet_vms)
+      .put(R"(,"fingerprint":"0x)").put_hex(fleet_fingerprint)
+      .put(R"("}})");
+  return out;
 }
 
 }  // namespace ioguard::service

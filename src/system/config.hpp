@@ -66,7 +66,7 @@ struct Calibration {
   Slot dispatch_overhead_slots = 1;
 
   // --- slot mapping -------------------------------------------------------
-  Cycle cycles_per_slot = kDefaultCyclesPerSlot;  // 1 us slots
+  Cycle cycles_per_slot = kDefaultCyclesPerSlot;  // 10 us slots
 };
 
 /// Issue cost for one request on the given system.

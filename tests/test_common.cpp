@@ -3,15 +3,21 @@
 
 #include <atomic>
 #include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <iomanip>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "common/appender.hpp"
 #include "common/check.hpp"
+#include "common/checksum.hpp"
 #include "common/env.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
@@ -247,6 +253,141 @@ TEST(TextTable, RendersAlignedAndCsv) {
 TEST(TextTable, RejectsRaggedRows) {
   TextTable t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), CheckFailure);
+}
+
+// ---- Appender ---------------------------------------------------------------
+
+std::string printf_fixed(double v, int precision) {
+  char buf[400];  // DBL_MAX at %.6f is 316 bytes
+  const int n = std::snprintf(buf, sizeof buf, "%.*f", precision, v);
+  return std::string(buf, static_cast<std::size_t>(n));
+}
+
+std::string ostream_fixed(double v, int precision) {
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(precision) << v;
+  return os.str();
+}
+
+TEST(Appender, FixedMatchesPrintfAtPrecisionsZeroToSix) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> inputs = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::bit_cast<double>(std::uint64_t{0x000FFFFFFFFFFFFFull}),  // largest
+                                                                    // subnormal
+      DBL_MIN,
+      DBL_MAX,
+      -DBL_MAX,
+      kInf,
+      -kInf,
+      kNaN,
+      -kNaN,
+      1e22,
+      9007199254740993.0,  // 2^53 + 1 rounds to 2^53
+      0.1,
+      2.0 / 3.0,
+      1.0 - DBL_EPSILON / 2,
+      -1e-9,  // rounds to a negative zero at every precision here
+      0.9999995,
+      0.0000005,
+  };
+  // Exact decimal ties at precision p: odd multiples of 2^-(p+1).
+  for (int p = 0; p <= 6; ++p) {
+    const double unit = std::ldexp(1.0, -(p + 1));
+    for (int m = 1; m < 64; m += 2) {
+      inputs.push_back(m * unit);
+      inputs.push_back(-m * unit);
+      inputs.push_back(1000 + m * unit);
+    }
+  }
+  // Seeded sweep: any bit pattern, and values near the 6th decimal.
+  Rng rng(20240607);
+  for (int i = 0; i < 4000; ++i) {
+    inputs.push_back(std::bit_cast<double>(rng()));
+    inputs.push_back(rng.uniform(-1000.0, 1000.0));
+    inputs.push_back(std::round(rng.uniform(0.0, 1e7)) / 1e7);
+  }
+
+  for (const double v : inputs) {
+    for (int p = 0; p <= 6; ++p) {
+      std::string out = "x";
+      Appender(&out).put_fixed(v, p);
+      ASSERT_EQ(out, "x" + printf_fixed(v, p))
+          << std::hexfloat << v << " at precision " << p;
+      ASSERT_EQ(out, "x" + ostream_fixed(v, p))
+          << std::hexfloat << v << " at precision " << p;
+    }
+  }
+  EXPECT_EQ(fmt_double(2.0 / 3.0, 6), "0.666667");
+  EXPECT_THROW(fmt_double(1.0, Appender::kMaxFixedPrecision + 1),
+               CheckFailure);
+}
+
+TEST(Appender, IntegersAndHexMatchStreams) {
+  const auto streamed = [](auto v, bool hex) {
+    std::ostringstream os;
+    if (hex) os << std::hex;
+    os << v;
+    return os.str();
+  };
+  for (const std::int64_t v : {std::int64_t{0}, std::int64_t{-1},
+                               std::int64_t{42},
+                               std::numeric_limits<std::int64_t>::min(),
+                               std::numeric_limits<std::int64_t>::max()}) {
+    std::string out;
+    Appender(&out).put_int(v);
+    EXPECT_EQ(out, streamed(v, false));
+  }
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{9}, std::uint64_t{0xdeadbeef},
+        std::uint64_t{0xCBF29CE484222325ull},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    std::string dec;
+    std::string hex;
+    Appender(&dec).put_int(v);
+    Appender(&hex).put_hex(v);
+    EXPECT_EQ(dec, streamed(v, false));
+    EXPECT_EQ(hex, streamed(v, true));
+  }
+  std::string small;
+  Appender(&small).put_int(std::uint8_t{255}).put_char(' ').put_int(-7);
+  EXPECT_EQ(small, "255 -7");
+}
+
+TEST(Appender, JsonEscapesQuotesBackslashesAndControlBytes) {
+  std::string out;
+  Appender(&out).put_json_escaped(
+      "a\"b\\c\nd\re\tf\x01g\x1f\b\f\x7f\xc3\xa9/");
+  EXPECT_EQ(out,
+            "a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001f\\u0008\\u000c\x7f"
+            "\xc3\xa9/");
+  std::string nul;
+  Appender(&nul).put_json_escaped(std::string_view("\0x", 2));
+  EXPECT_EQ(nul, "\\u0000x");
+  std::string plain;
+  Appender(&plain).put_json_escaped("tenant0").put_json_escaped("");
+  EXPECT_EQ(plain, "tenant0");
+}
+
+TEST(Checksum, Fnv1a64UpdateChainsOverAnySplit) {
+  const std::string text =
+      "tenant0/vm1|pi=50,theta=4|1:1234:5:1200;2:800:3:760;\n"
+      "tenant1/\xc3\xa9|pi=10,theta=2|7:300:100:290;\n";
+  const std::uint64_t whole = fnv1a64(text);
+  EXPECT_EQ(fnv1a64_update(fnv1a64_init(), ""), fnv1a64(""));
+  for (std::size_t i = 0; i <= text.size(); ++i) {
+    for (std::size_t j = i; j <= text.size(); ++j) {
+      std::uint64_t h = fnv1a64_init();
+      h = fnv1a64_update(h, std::string_view(text).substr(0, i));
+      h = fnv1a64_update(h, std::string_view(text).substr(i, j - i));
+      h = fnv1a64_update(h, std::string_view(text).substr(j));
+      ASSERT_EQ(h, whole) << "split at " << i << " and " << j;
+    }
+  }
 }
 
 TEST(Env, FallbacksAndParsing) {
