@@ -4,6 +4,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/appender.hpp"
 #include "common/atomic_file.hpp"
 #include "common/checksum.hpp"
 #include "common/cli.hpp"
@@ -104,14 +105,27 @@ void BenchReport::add_metric(const std::string& name, double value) {
   metrics_.emplace_back(name, value);
 }
 
+namespace {
+
+constexpr int kDigits = 9;  ///< doubles print as `os << v` at precision 9
+
+/// The fan-out figures shared by a batch stage and the totals.
+Appender& put_batch(Appender& a, const sys::BatchTiming& t) {
+  return a.put("\"trials\": ").put_int(t.trials)
+      .put(", \"wall_seconds\": ").put_general(t.wall_seconds, kDigits)
+      .put(", \"trial_seconds_sum\": ")
+      .put_general(t.trial_seconds_sum, kDigits)
+      .put(", \"trials_per_second\": ")
+      .put_general(t.trials_per_second(), kDigits)
+      .put(", \"speedup_estimate\": ")
+      .put_general(t.speedup_estimate(), kDigits);
+}
+
+}  // namespace
+
 std::string BenchReport::write() const {
   const std::string dir = env_string("IOGUARD_BENCH_OUT", ".");
   const std::string path = dir + "/BENCH_" + name_ + ".json";
-  // Atomic publish: check_bench.py must never see a torn report, even if
-  // the bench is killed between write and close.
-  AtomicFileWriter writer(path);
-  std::ostream& os = writer.stream();
-  os.precision(9);
 
   // Batch totals across fan-out stages.
   sys::BatchTiming total;
@@ -122,53 +136,49 @@ std::string BenchReport::write() const {
       any_batch = true;
     }
 
-  os << "{\n";
-  os << "  \"bench\": \"" << name_ << "\",\n";
-  os << "  \"jobs\": " << jobs_ << ",\n";
-  os << "  \"stages\": [\n";
+  std::string buf;
+  Appender a(&buf);
+  a.put("{\n  \"bench\": \"").put_json_escaped(name_)
+      .put("\",\n  \"jobs\": ").put_int(jobs_)
+      .put(",\n  \"stages\": [\n");
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     const Stage& s = stages_[i];
-    os << "    {\"name\": \"" << s.name << "\"";
+    a.put("    {\"name\": \"").put_json_escaped(s.name).put_char('"');
     if (s.has_batch) {
       const auto& t = s.timing;
-      os << ", \"trials\": " << t.trials
-         << ", \"wall_seconds\": " << t.wall_seconds
-         << ", \"trial_seconds_sum\": " << t.trial_seconds_sum
-         << ", \"trials_per_second\": " << t.trials_per_second()
-         << ", \"speedup_estimate\": " << t.speedup_estimate();
+      put_batch(a.put(", "), t);
       if (t.trial_seconds.count() > 0)
-        os << ", \"trial_seconds_mean\": " << t.trial_seconds.mean()
-           << ", \"trial_seconds_max\": " << t.trial_seconds.max();
+        a.put(", \"trial_seconds_mean\": ")
+            .put_general(t.trial_seconds.mean(), kDigits)
+            .put(", \"trial_seconds_max\": ")
+            .put_general(t.trial_seconds.max(), kDigits);
     } else {
-      os << ", \"wall_seconds\": " << s.wall_seconds;
+      a.put(", \"wall_seconds\": ").put_general(s.wall_seconds, kDigits);
     }
-    os << "}" << (i + 1 < stages_.size() ? "," : "") << "\n";
+    a.put(i + 1 < stages_.size() ? "},\n" : "}\n");
   }
-  os << "  ],\n";
+  a.put("  ],\n");
   if (!metrics_.empty()) {
-    os << "  \"metrics\": {";
+    a.put("  \"metrics\": {");
     for (std::size_t i = 0; i < metrics_.size(); ++i)
-      os << (i ? ", " : "") << "\"" << metrics_[i].first
-         << "\": " << metrics_[i].second;
-    os << "},\n";
+      a.put(i ? ", \"" : "\"").put_json_escaped(metrics_[i].first)
+          .put("\": ").put_general(metrics_[i].second, kDigits);
+    a.put("},\n");
   }
-  os << "  \"totals\": {";
+  a.put("  \"totals\": {");
   if (any_batch) {
-    os << "\"trials\": " << total.trials
-       << ", \"wall_seconds\": " << total.wall_seconds
-       << ", \"trial_seconds_sum\": " << total.trial_seconds_sum
-       << ", \"trials_per_second\": " << total.trials_per_second()
-       << ", \"speedup_estimate\": " << total.speedup_estimate();
+    put_batch(a, total);
   } else {
     double wall = 0.0;
     for (const auto& s : stages_) wall += s.wall_seconds;
-    os << "\"trials\": 0, \"wall_seconds\": " << wall
-       << ", \"trial_seconds_sum\": 0, \"trials_per_second\": 0"
-       << ", \"speedup_estimate\": 1";
+    a.put("\"trials\": 0, \"wall_seconds\": ").put_general(wall, kDigits)
+        .put(", \"trial_seconds_sum\": 0, \"trials_per_second\": 0")
+        .put(", \"speedup_estimate\": 1");
   }
-  os << "}\n";
-  os << "}\n";
-  if (const Status s = writer.commit(); !s.ok()) {
+  a.put("}\n}\n");
+  // Atomic publish: check_bench.py must never see a torn report, even if
+  // the bench is killed between write and close.
+  if (const Status s = write_file_atomic(path, buf); !s.ok()) {
     std::cerr << "bench: cannot write " << path << " (skipping report): " << s
               << "\n";
     return {};

@@ -1,7 +1,9 @@
 #include "analysis/diagnostics.hpp"
 
 #include <ostream>
+#include <string>
 
+#include "common/appender.hpp"
 #include "common/check.hpp"
 
 namespace ioguard::analysis {
@@ -227,45 +229,25 @@ void Report::render_text(std::ostream& os) const {
      << warnings_ << " warning(s), " << diags_.size() << " finding(s)\n";
 }
 
-namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          // Control characters are not expected in diagnostic text; drop them
-          // rather than emitting invalid JSON.
-          break;
-        }
-        os << c;
-    }
-  }
-}
-
-}  // namespace
-
 void Report::render_json(std::ostream& os) const {
-  os << "{\"ok\":" << (ok() ? "true" : "false")
-     << ",\"errors\":" << errors_ << ",\"warnings\":" << warnings_
-     << ",\"diagnostics\":[";
+  std::string buf;
+  Appender a(&buf);
+  a.put("{\"ok\":").put(ok() ? "true" : "false")
+      .put(",\"errors\":").put_int(errors_)
+      .put(",\"warnings\":").put_int(warnings_)
+      .put(",\"diagnostics\":[");
   for (std::size_t i = 0; i < diags_.size(); ++i) {
     const auto& d = diags_[i];
-    if (i > 0) os << ',';
-    os << "{\"code\":\"" << code_string(d.code) << "\",\"severity\":\""
-       << to_string(d.severity) << "\",\"summary\":\"";
-    json_escape(os, code_summary(d.code));
-    os << "\",\"message\":\"";
-    json_escape(os, d.message);
-    os << "\",\"context\":\"";
-    json_escape(os, d.context);
-    os << "\"}";
+    if (i > 0) a.put_char(',');
+    a.put("{\"code\":\"").put(code_string(d.code))
+        .put("\",\"severity\":\"").put(to_string(d.severity))
+        .put("\",\"summary\":\"").put_json_escaped(code_summary(d.code))
+        .put("\",\"message\":\"").put_json_escaped(d.message)
+        .put("\",\"context\":\"").put_json_escaped(d.context)
+        .put("\"}")
+        .write_to(os);
   }
-  os << "]}\n";
+  a.put("]}\n").write_to(os, 0);
 }
 
 }  // namespace ioguard::analysis

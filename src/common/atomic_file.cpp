@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <system_error>
+#include <utility>
 
 #ifdef _WIN32
 #include <process.h>
@@ -68,7 +69,8 @@ Status AtomicFileWriter::commit() {
   committed_ = true;
   if (!buffer_)
     return UnavailableError("buffered write to " + path_.string() + " failed");
-  return write_file_atomic(path_, buffer_.str());
+  // Moving the string out keeps a large artifact from existing twice.
+  return write_file_atomic(path_, std::move(buffer_).str());
 }
 
 std::vector<std::string> find_orphaned_temp_files(

@@ -4,6 +4,9 @@
 #include <fstream>  // IOGUARD_LINT_ALLOW(LNT005: linter reads sources, writes nothing)
 #include <ostream>
 #include <sstream>
+#include <string>
+
+#include "common/appender.hpp"
 
 namespace ioguard::lint {
 
@@ -146,25 +149,6 @@ void parse_suppressions(std::string_view raw, std::size_t line_no,
     sup.reason = reason;
     sup.well_formed = true;
     out.push_back(std::move(sup));
-  }
-}
-
-void json_escape(std::ostream& os, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
   }
 }
 
@@ -563,29 +547,28 @@ void Linter::render_text(std::ostream& os) const {
 }
 
 void Linter::render_json(std::ostream& os) const {
-  os << "{\n";
-  os << "  \"tool\": \"ioguard_lint\",\n";
-  os << "  \"schema_version\": 1,\n";
-  os << "  \"files_scanned\": " << files_scanned() << ",\n";
-  os << "  \"active\": " << active_count() << ",\n";
-  os << "  \"suppressed\": " << suppressed_count() << ",\n";
-  os << "  \"findings\": [";
+  std::string buf;
+  Appender a(&buf);
+  a.put("{\n  \"tool\": \"ioguard_lint\",\n  \"schema_version\": 1,\n")
+      .put("  \"files_scanned\": ").put_int(files_scanned())
+      .put(",\n  \"active\": ").put_int(active_count())
+      .put(",\n  \"suppressed\": ").put_int(suppressed_count())
+      .put(",\n  \"findings\": [");
   bool first = true;
   for (const auto& f : findings_) {
-    if (!first) os << ',';
+    if (!first) a.put_char(',');
     first = false;
-    os << "\n    {\"code\": \"" << code_string(f.code) << "\", \"file\": \"";
-    json_escape(os, f.file);
-    os << "\", \"line\": " << f.line << ", \"suppressed\": "
-       << (f.suppressed ? "true" : "false") << ", \"message\": \"";
-    json_escape(os, f.message);
-    os << "\", \"reason\": \"";
-    json_escape(os, f.suppress_reason);
-    os << "\", \"excerpt\": \"";
-    json_escape(os, f.excerpt);
-    os << "\"}";
+    a.put("\n    {\"code\": \"").put(code_string(f.code))
+        .put("\", \"file\": \"").put_json_escaped(f.file)
+        .put("\", \"line\": ").put_int(f.line)
+        .put(", \"suppressed\": ").put(f.suppressed ? "true" : "false")
+        .put(", \"message\": \"").put_json_escaped(f.message)
+        .put("\", \"reason\": \"").put_json_escaped(f.suppress_reason)
+        .put("\", \"excerpt\": \"").put_json_escaped(f.excerpt)
+        .put("\"}")
+        .write_to(os);
   }
-  os << "\n  ]\n}\n";
+  a.put("\n  ]\n}\n").write_to(os, 0);
 }
 
 }  // namespace ioguard::lint

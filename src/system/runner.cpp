@@ -1,12 +1,16 @@
 #include "system/runner.hpp"
 
 #include <algorithm>
-#include <iomanip>
+#include <cmath>
+#include <initializer_list>
 #include <memory>
 #include <ostream>
 #include <queue>
 #include <string>
+#include <string_view>
+#include <utility>
 
+#include "common/appender.hpp"
 #include "common/check.hpp"
 #include "faults/injector.hpp"
 #include "iodev/fifo_controller.hpp"
@@ -746,115 +750,142 @@ TrialResult run_trial(const TrialConfig& config) {
 
 namespace {
 
-void json_kv(std::ostream& os, const char* key, double v, bool comma = true) {
-  os << "  \"" << key << "\": ";
-  if (v != v) {
-    os << "null";
+constexpr int kDigits = 15;  ///< doubles print as `os << v` at precision 15
+
+/// `  "key": `, the start of every top-level line.
+Appender& put_key(Appender& a, std::string_view key) {
+  return a.put("  \"").put(key).put("\": ");
+}
+
+/// A top-level number; NaN prints as null.
+void put_kv(Appender& a, std::string_view key, double v) {
+  put_key(a, key);
+  if (std::isnan(v)) {
+    a.put("null");
   } else {
-    os << v;
+    a.put_general(v, kDigits);
   }
-  if (comma) os << ",";
-  os << "\n";
+  a.put(",\n");
 }
 
-void json_kv(std::ostream& os, const char* key, std::uint64_t v,
-             bool comma = true) {
-  os << "  \"" << key << "\": " << v;
-  if (comma) os << ",";
-  os << "\n";
+void put_kv(Appender& a, std::string_view key, std::uint64_t v) {
+  put_key(a, key).put_int(v).put(",\n");
 }
 
-void json_stats(std::ostream& os, const char* key, const OnlineStats& s,
-                bool comma = true) {
-  os << "  \"" << key << "\": ";
+/// `{"a": 1, "b": 2` -- an object of integers, left open for the caller.
+Appender& put_int_fields(
+    Appender& a,
+    std::initializer_list<std::pair<std::string_view, std::uint64_t>> fields) {
+  std::string_view sep = "{\"";
+  for (const auto& [name, v] : fields) {
+    a.put(sep).put(name).put("\": ").put_int(v);
+    sep = ", \"";
+  }
+  return a;
+}
+
+/// null, or the count, mean and extrema of `s`.
+void put_stats(Appender& a, std::string_view key, const OnlineStats& s) {
+  put_key(a, key);
   if (s.count() == 0) {
-    os << "null";
+    a.put("null");
   } else {
-    os << "{\"count\": " << s.count() << ", \"mean\": " << s.mean()
-       << ", \"min\": " << s.min() << ", \"max\": " << s.max() << "}";
+    a.put("{\"count\": ").put_int(s.count())
+        .put(", \"mean\": ").put_general(s.mean(), kDigits)
+        .put(", \"min\": ").put_general(s.min(), kDigits)
+        .put(", \"max\": ").put_general(s.max(), kDigits).put_char('}');
   }
-  if (comma) os << ",";
-  os << "\n";
+  a.put(",\n");
+}
+
+/// null, or the count, mean, the named percentiles and the max of `s`.
+void put_samples(
+    Appender& a, const SampleSet& s,
+    std::initializer_list<std::pair<std::string_view, double>> percentiles) {
+  if (s.empty()) {
+    a.put("null");
+    return;
+  }
+  a.put("{\"count\": ").put_int(s.count())
+      .put(", \"mean\": ").put_general(s.mean(), kDigits);
+  for (const auto& [name, p] : percentiles)
+    a.put(", \"").put(name).put("\": ").put_general(s.percentile(p), kDigits);
+  a.put(", \"max\": ").put_general(s.max(), kDigits).put_char('}');
 }
 
 /// One HDR quantile record inside the "jitter_cycles" block (two-space
 /// extra indent: these keys nest one level deeper than the top level).
-void json_hdr(std::ostream& os, const char* key,
-              const telemetry::HdrHistogram& h, bool comma = true) {
-  os << "    \"" << key << "\": ";
+void put_hdr(Appender& a, std::string_view key,
+             const telemetry::HdrHistogram& h, bool last = false) {
+  a.put("    \"").put(key).put("\": ");
   if (h.count() == 0) {
-    os << "null";
+    a.put("null");
   } else {
-    os << "{\"count\": " << h.count()
-       << ", \"p50\": " << h.value_at_percentile(50.0)
-       << ", \"p99\": " << h.value_at_percentile(99.0)
-       << ", \"p999\": " << h.value_at_percentile(99.9)
-       << ", \"p9999\": " << h.value_at_percentile(99.99)
-       << ", \"max\": " << h.max() << "}";
+    put_int_fields(a, {{"count", h.count()},
+                       {"p50", h.value_at_percentile(50.0)},
+                       {"p99", h.value_at_percentile(99.0)},
+                       {"p999", h.value_at_percentile(99.9)},
+                       {"p9999", h.value_at_percentile(99.99)},
+                       {"max", h.max()}})
+        .put_char('}');
   }
-  if (comma) os << ",";
-  os << "\n";
+  a.put(last ? "\n" : ",\n");
 }
 
 }  // namespace
 
 void write_trial_summary_json(std::ostream& os, const TrialConfig& config,
                               const TrialResult& result) {
-  const auto prev_precision = os.precision(15);
-  os << "{\n";
-  os << "  \"system\": \"" << to_string(config.kind) << "\",\n";
-  json_kv(os, "num_vms", static_cast<std::uint64_t>(config.workload.num_vms));
-  json_kv(os, "target_utilization", config.workload.target_utilization);
-  json_kv(os, "preload_fraction", config.workload.preload_fraction);
-  json_kv(os, "trial_seed", config.trial_seed);
-  json_kv(os, "horizon_slots", static_cast<std::uint64_t>(result.horizon));
-  json_kv(os, "jobs_counted", result.jobs_counted);
-  json_kv(os, "jobs_on_time", result.jobs_on_time);
-  json_kv(os, "misses", result.misses);
-  json_kv(os, "critical_misses", result.critical_misses);
-  json_kv(os, "dropped", result.dropped);
-  json_kv(os, "goodput_bytes_per_s", result.goodput_bytes_per_s);
-  json_kv(os, "device_busy_frac", result.device_busy_frac);
-  os << "  \"admitted\": " << (result.admitted ? "true" : "false") << ",\n";
-  os << "  \"success\": " << (result.success() ? "true" : "false") << ",\n";
+  std::string buf;
+  Appender a(&buf);
+  a.put("{\n  \"system\": \"").put_json_escaped(to_string(config.kind))
+      .put("\",\n");
+  put_kv(a, "num_vms", static_cast<std::uint64_t>(config.workload.num_vms));
+  put_kv(a, "target_utilization", config.workload.target_utilization);
+  put_kv(a, "preload_fraction", config.workload.preload_fraction);
+  put_kv(a, "trial_seed", config.trial_seed);
+  put_kv(a, "horizon_slots", static_cast<std::uint64_t>(result.horizon));
+  put_kv(a, "jobs_counted", result.jobs_counted);
+  put_kv(a, "jobs_on_time", result.jobs_on_time);
+  put_kv(a, "misses", result.misses);
+  put_kv(a, "critical_misses", result.critical_misses);
+  put_kv(a, "dropped", result.dropped);
+  put_kv(a, "goodput_bytes_per_s", result.goodput_bytes_per_s);
+  put_kv(a, "device_busy_frac", result.device_busy_frac);
+  put_key(a, "admitted").put(result.admitted ? "true" : "false").put(",\n");
+  put_key(a, "success").put(result.success() ? "true" : "false").put(",\n");
 
-  os << "  \"response_slots\": ";
-  if (result.response_slots.empty()) {
-    os << "null";
-  } else {
-    const auto& r = result.response_slots;
-    os << "{\"count\": " << r.count() << ", \"mean\": " << r.mean()
-       << ", \"p50\": " << r.percentile(50.0)
-       << ", \"p95\": " << r.percentile(95.0)
-       << ", \"p99\": " << r.percentile(99.0)
-       << ", \"p999\": " << r.percentile(99.9) << ", \"max\": " << r.max()
-       << "}";
-  }
-  os << ",\n";
+  put_key(a, "response_slots");
+  put_samples(a, result.response_slots,
+              {{"p50", 50.0}, {"p95", 95.0}, {"p99", 99.0}, {"p999", 99.9}});
+  a.put(",\n");
 
-  json_stats(os, "stage_issue_slots", result.stage_issue);
-  json_stats(os, "stage_vmm_slots", result.stage_vmm);
-  json_stats(os, "stage_transit_slots", result.stage_transit);
-  json_stats(os, "stage_backend_slots", result.stage_backend);
+  put_stats(a, "stage_issue_slots", result.stage_issue);
+  put_stats(a, "stage_vmm_slots", result.stage_vmm);
+  put_stats(a, "stage_transit_slots", result.stage_transit);
+  put_stats(a, "stage_backend_slots", result.stage_backend);
 
   // Fault block only for trials that ran a plan, so fault-free summaries
   // stay byte-identical to pre-fault builds.
   if (!config.faults.empty()) {
-    os << "  \"fault_plan\": \"" << config.faults.spec_string() << "\",\n";
+    put_key(a, "fault_plan").put_char('"')
+        .put_json_escaped(config.faults.spec_string()).put("\",\n");
     const FaultCounters& fc = result.faults;
-    os << "  \"faults\": {\"injected\": " << fc.injected_total
-       << ", \"watchdog_aborts\": " << fc.watchdog_aborts
-       << ", \"retries\": " << fc.retries
-       << ", \"retries_exhausted\": " << fc.retries_exhausted
-       << ", \"max_retry_attempt\": " << fc.max_retry_attempt
-       << ", \"jobs_shed\": " << fc.jobs_shed
-       << ", \"degraded_vms\": " << fc.degraded_vms
-       << ", \"frame_faults\": " << fc.frame_faults
-       << ", \"stalled_slots\": " << fc.stalled_slots
-       << ", \"spurious_irq_slots\": " << fc.spurious_irq_slots
-       << ", \"transit_drops\": " << fc.transit_drops
-       << ", \"fifo_frames_lost\": " << fc.fifo_frames_lost
-       << ", \"fifo_stalled_slots\": " << fc.fifo_stalled_slots << "},\n";
+    put_int_fields(put_key(a, "faults"),
+                   {{"injected", fc.injected_total},
+                    {"watchdog_aborts", fc.watchdog_aborts},
+                    {"retries", fc.retries},
+                    {"retries_exhausted", fc.retries_exhausted},
+                    {"max_retry_attempt", fc.max_retry_attempt},
+                    {"jobs_shed", fc.jobs_shed},
+                    {"degraded_vms", fc.degraded_vms},
+                    {"frame_faults", fc.frame_faults},
+                    {"stalled_slots", fc.stalled_slots},
+                    {"spurious_irq_slots", fc.spurious_irq_slots},
+                    {"transit_drops", fc.transit_drops},
+                    {"fifo_frames_lost", fc.fifo_frames_lost},
+                    {"fifo_stalled_slots", fc.fifo_stalled_slots}})
+        .put("},\n");
   }
 
   // Mixed-criticality block only when the feature flag is on, so pre-MCS
@@ -862,24 +893,18 @@ void write_trial_summary_json(std::ostream& os, const TrialConfig& config,
   // appears (even at zero) -- same no-order-dependence rule as the metrics.
   if (config.mode_switch.enabled) {
     const ModeSwitchCounters& mc = result.mcs;
-    os << "  \"mcs\": {\"switches_to_hi\": " << mc.switches_to_hi
-       << ", \"recoveries\": " << mc.recoveries
-       << ", \"propagated\": " << mc.propagated
-       << ", \"overruns_observed\": " << mc.overruns_observed
-       << ", \"lo_jobs_shed\": " << mc.lo_jobs_shed
-       << ", \"lo_rejected\": " << mc.lo_rejected
-       << ", \"hi_vms_at_end\": " << mc.hi_vms_at_end
-       << ", \"hi_misses\": " << mc.hi_misses << ", \"switch_latency\": ";
-    if (mc.switch_latency_slots.empty()) {
-      os << "null";
-    } else {
-      const auto& s = mc.switch_latency_slots;
-      os << "{\"count\": " << s.count() << ", \"mean\": " << s.mean()
-         << ", \"p50\": " << s.percentile(50.0)
-         << ", \"p99\": " << s.percentile(99.0) << ", \"max\": " << s.max()
-         << "}";
-    }
-    os << "},\n";
+    put_int_fields(put_key(a, "mcs"),
+                   {{"switches_to_hi", mc.switches_to_hi},
+                    {"recoveries", mc.recoveries},
+                    {"propagated", mc.propagated},
+                    {"overruns_observed", mc.overruns_observed},
+                    {"lo_jobs_shed", mc.lo_jobs_shed},
+                    {"lo_rejected", mc.lo_rejected},
+                    {"hi_vms_at_end", mc.hi_vms_at_end},
+                    {"hi_misses", mc.hi_misses}})
+        .put(", \"switch_latency\": ");
+    put_samples(a, mc.switch_latency_slots, {{"p50", 50.0}, {"p99", 99.0}});
+    a.put("},\n");
   }
 
   // Observability blocks appear only when collected, so plain trials keep
@@ -894,47 +919,47 @@ void write_trial_summary_json(std::ostream& os, const TrialConfig& config,
           h.record(static_cast<std::uint64_t>(v * scale));
       return h;
     };
-    os << "  \"jitter_cycles\": {\n";
-    json_hdr(os, "P", hdr_of(result.jitter.p_by_vm, cps));
-    json_hdr(os, "R", hdr_of(result.jitter.r_by_vm, cps));
-    json_hdr(os, "fifo", hdr_of(result.jitter.fifo_by_vm, cps));
-    json_hdr(os, "translator", hdr_of(result.jitter.translator_by_device, 1.0),
-             false);
-    os << "  },\n";
-    os << "  \"jitter_by_task\": {";
-    bool jt_first = true;
+    put_key(a, "jitter_cycles").put("{\n");
+    put_hdr(a, "P", hdr_of(result.jitter.p_by_vm, cps));
+    put_hdr(a, "R", hdr_of(result.jitter.r_by_vm, cps));
+    put_hdr(a, "fifo", hdr_of(result.jitter.fifo_by_vm, cps));
+    put_hdr(a, "translator", hdr_of(result.jitter.translator_by_device, 1.0),
+            /*last=*/true);
+    a.put("  },\n");
+    put_key(a, "jitter_by_task").put_char('{');
+    std::string_view sep;
     for (const auto& t : result.jitter.by_task) {
-      if (!jt_first) os << ", ";
-      jt_first = false;
-      os << "\"" << t.task << "\": {\"ops\": " << t.ops
-         << ", \"worst_slots\": " << t.worst_slots << "}";
+      a.put(sep).put_char('"').put_int(t.task).put("\": ");
+      put_int_fields(a, {{"ops", t.ops}, {"worst_slots", t.worst_slots}})
+          .put_char('}')
+          .write_to(os);
+      sep = ", ";
     }
-    os << "},\n";
+    a.put("},\n");
   }
   if (!result.profile.empty()) {
-    os << "  \"profile_slots\": {\n";
+    put_key(a, "profile_slots").put("{\n");
     for (std::size_t i = 0; i < result.profile.size(); ++i) {
       const ComponentProfile& c = result.profile[i];
-      os << "    \"" << c.name << "\": {\"busy\": " << c.busy_slots
-         << ", \"stall\": " << c.stall_slots
-         << ", \"quiescent\": " << c.quiescent_slots << "}"
-         << (i + 1 < result.profile.size() ? ",\n" : "\n");
+      a.put("    \"").put_json_escaped(c.name).put("\": ");
+      put_int_fields(a, {{"busy", c.busy_slots},
+                         {"stall", c.stall_slots},
+                         {"quiescent", c.quiescent_slots}})
+          .put(i + 1 < result.profile.size() ? "},\n" : "}\n");
     }
-    os << "  },\n";
+    a.put("  },\n");
   }
   if (!config.flight_dir.empty())
-    json_kv(os, "flight_dumps", result.flight_dumps);
+    put_kv(a, "flight_dumps", result.flight_dumps);
 
-  os << "  \"misses_by_task\": {";
-  bool first = true;
+  put_key(a, "misses_by_task").put_char('{');
+  std::string_view sep;
   for (const auto& [task, count] : result.misses_by_task) {
-    if (!first) os << ", ";
-    first = false;
-    os << "\"" << task << "\": " << count;
+    a.put(sep).put_char('"').put_int(task).put("\": ").put_int(count)
+        .write_to(os);
+    sep = ", ";
   }
-  os << "}\n";
-  os << "}\n";
-  os.precision(prev_precision);
+  a.put("}\n}\n").write_to(os, 0);
 }
 
 }  // namespace ioguard::sys
