@@ -524,6 +524,10 @@ Status run(const CliArgs& args) {
     }
     std::cout << "telemetry written to " << dir.string()
               << "/{trace.perfetto.json, metrics.prom, summary.json}\n";
+    if (events.overwritten() > 0)
+      std::cout << "(ring saturated: " << events.overwritten()
+                << " oldest events overwritten; the trace keeps the last "
+                << events.size() << ")\n";
   }
   return OkStatus();
 }

@@ -24,7 +24,8 @@ from pathlib import Path
 
 FAILURES = []
 
-KNOWN_CODES = {f"LNT{n:03d}" for n in range(1, 9)}
+# LNT001-LNT010, as lint/lint.hpp numbers them (kLintCodeCount).
+KNOWN_CODES = {f"LNT{n:03d}" for n in range(1, 11)}
 
 
 def fail(msg):

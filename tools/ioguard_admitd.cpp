@@ -129,11 +129,16 @@ Status run(const ioguard::CliArgs& args) {
   if (!metrics_out.empty()) {
     ioguard::telemetry::MetricsRegistry registry;
     engine.export_metrics(registry);
+    // Written in place, not through a temp file and a rename: the target
+    // may be a device such as /dev/stdout.
     std::ofstream os(metrics_out);
     if (!os)
       return ioguard::UnavailableError("cannot open --metrics-out file " +
                                        metrics_out);
     ioguard::telemetry::write_prometheus(os, registry);
+    if (!os.flush())
+      return ioguard::UnavailableError("cannot write --metrics-out file " +
+                                       metrics_out);
   }
   return ioguard::OkStatus();
 }
