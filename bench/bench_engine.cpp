@@ -8,11 +8,14 @@
 // modes alternating which goes first, and a mode's time is the sum of its
 // trials' fastest runs: other load on the host slows single runs and never
 // speeds one up, so the fastest run is the one that measures the code.
-// Expected shape: >= 3x on the low-utilization point, ~1x at the
-// fully-loaded worst case.
+// Expected shape: >= 3x on the low-utilization point, and > 1x even at the
+// fully-loaded worst case, where few slots can be skipped: event mode keeps
+// the L-Sched shadows and the table cursor current from events, while the
+// stepped reference recomputes them every slot and checks the kept copies.
 //
 // BENCH_engine.json carries the measured ratios in the "metrics" object;
-// CI gates metrics.event_speedup_low_util via check_bench.py --min-metric.
+// CI gates metrics.event_speedup_low_util (>= 3) and
+// metrics.event_speedup_high_util (>= 1) via check_bench.py --min-metric.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

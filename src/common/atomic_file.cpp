@@ -38,39 +38,51 @@ std::string_view atomic_temp_marker() { return ".tmp-ioguard."; }
 
 Status write_file_atomic(const std::filesystem::path& path,
                          std::string_view content) {
-  if (path.empty()) return InvalidArgumentError("empty output path");
-  const std::filesystem::path tmp = temp_path_for(path);
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out)
-      return UnavailableError("cannot open " + tmp.string() + " for writing");
-    out.write(content.data(),
-              static_cast<std::streamsize>(content.size()));
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return UnavailableError("short write to " + tmp.string());
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::error_code ignored;
-    std::filesystem::remove(tmp, ignored);
-    return UnavailableError("cannot rename " + tmp.string() + " to " +
-                            path.string() + ": " + ec.message());
-  }
-  return OkStatus();
+  AtomicFileWriter out(path);
+  out.stream().write(content.data(),
+                     static_cast<std::streamsize>(content.size()));
+  return out.commit();
+}
+
+AtomicFileWriter::AtomicFileWriter(std::filesystem::path path)
+    : path_(std::move(path)) {
+  if (path_.empty()) return;
+  tmp_ = temp_path_for(path_);
+  out_.open(tmp_, std::ios::binary | std::ios::trunc);
+  opened_ = out_.is_open();
+}
+
+AtomicFileWriter::~AtomicFileWriter() {
+  if (!committed_) discard();
+}
+
+void AtomicFileWriter::discard() {
+  out_.close();
+  if (!opened_) return;  // never remove a file this writer did not create
+  std::error_code ignored;
+  std::filesystem::remove(tmp_, ignored);
 }
 
 Status AtomicFileWriter::commit() {
   IOGUARD_CHECK_MSG(!committed_, "AtomicFileWriter::commit() called twice");
   committed_ = true;
-  if (!buffer_)
-    return UnavailableError("buffered write to " + path_.string() + " failed");
-  // Moving the string out keeps a large artifact from existing twice.
-  return write_file_atomic(path_, std::move(buffer_).str());
+  if (path_.empty()) return InvalidArgumentError("empty output path");
+  if (!opened_)
+    return UnavailableError("cannot open " + tmp_.string() + " for writing");
+  out_.flush();
+  out_.close();
+  if (!out_) {
+    discard();
+    return UnavailableError("short write to " + tmp_.string());
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp_, path_, ec);
+  if (ec) {
+    discard();
+    return UnavailableError("cannot rename " + tmp_.string() + " to " +
+                            path_.string() + ": " + ec.message());
+  }
+  return OkStatus();
 }
 
 std::vector<std::string> find_orphaned_temp_files(

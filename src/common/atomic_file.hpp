@@ -7,7 +7,7 @@
 #pragma once
 
 #include <filesystem>
-#include <sstream>
+#include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,23 +25,38 @@ namespace ioguard {
 [[nodiscard]] Status write_file_atomic(const std::filesystem::path& path,
                                        std::string_view content);
 
-/// Stream-style atomic writer: build the artifact into `stream()`, then
-/// `commit()` performs the temp-file+rename publish. Destroying the writer
-/// without committing discards the content (nothing touches the target).
+/// Stream-style atomic writer: construction opens the staging file
+/// `<target><atomic_temp_marker()><pid>`, `stream()` writes straight into
+/// it, and `commit()` flushes, checks the stream and renames it over the
+/// target, so an artifact is never held in memory. Destroying the writer
+/// without committing removes the staging file (nothing touches the
+/// target).
 class AtomicFileWriter {
  public:
-  explicit AtomicFileWriter(std::filesystem::path path)
-      : path_(std::move(path)) {}
+  explicit AtomicFileWriter(std::filesystem::path path);
+  ~AtomicFileWriter();
+  AtomicFileWriter(const AtomicFileWriter&) = delete;
+  AtomicFileWriter& operator=(const AtomicFileWriter&) = delete;
+  AtomicFileWriter(AtomicFileWriter&&) = delete;
+  AtomicFileWriter& operator=(AtomicFileWriter&&) = delete;
 
-  [[nodiscard]] std::ostream& stream() { return buffer_; }
+  [[nodiscard]] std::ostream& stream() { return out_; }
 
-  /// Publishes the buffered content; returns Unavailable on I/O failure.
-  /// Calling commit() twice is a programming error (checked).
+  /// Publishes the written content: InvalidArgument for an empty path,
+  /// Unavailable when the staging file could not be opened or written or
+  /// the rename failed (the target is then untouched and the staging file
+  /// removed). Calling commit() twice is a programming error (checked).
   [[nodiscard]] Status commit();
 
  private:
+  /// Removes the staging file if this writer created it.
+  void discard();
+
   std::filesystem::path path_;
-  std::ostringstream buffer_;
+  std::filesystem::path tmp_;
+  // IOGUARD_LINT_ALLOW(LNT005: the staging file; commit() renames it)
+  std::ofstream out_;
+  bool opened_ = false;
   bool committed_ = false;
 };
 

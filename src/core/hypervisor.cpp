@@ -187,6 +187,9 @@ bool Hypervisor::submit(const workload::Job& job, Slot now) {
 void Hypervisor::set_slot_skipping(bool on) {
   skip_idle_ = on;
   wake_.assign(managers_.size(), 0);
+  // The dense path recomputes every register every slot and checks the
+  // event-maintained copies; the calendar path trusts them.
+  for (auto& m : managers_) m->set_bookkeeping_checks(!on);
 }
 
 void Hypervisor::tick_slot(Slot now, std::vector<iodev::Completion>& out) {

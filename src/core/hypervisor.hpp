@@ -110,7 +110,9 @@ class Hypervisor {
   /// stepped reference and existing direct users keep the dense path; the
   /// runner switches it on per trial. Results are bit-identical either way:
   /// a manager is only skipped when its tick would have been a pure
-  /// ++quiescent no-op.
+  /// ++quiescent no-op. The dense path also checks every manager's
+  /// event-maintained shadows and table cursor every slot
+  /// (VirtManager::set_bookkeeping_checks); this switch turns that off.
   void set_slot_skipping(bool on);
 
   [[nodiscard]] const std::vector<DeviceDesign>& designs() const {

@@ -26,8 +26,9 @@ PChannel::PChannel(workload::TaskSet predefined, sched::TimeSlotTable table)
 
 Slot PChannel::next_reserved_slot(Slot from) const {
   if (reserved_in_period_.empty()) return kNeverSlot;
+  const Slot phase = phase_of(from);
+  if (table_.raw()[phase] != sched::TimeSlotTable::kFree) return from;
   const Slot hp = table_.hyperperiod();
-  const Slot phase = from % hp;
   const auto it = std::lower_bound(reserved_in_period_.begin(),
                                    reserved_in_period_.end(), phase);
   if (it != reserved_in_period_.end()) return from + (*it - phase);
@@ -71,12 +72,13 @@ void PChannel::set_jitter_recorder(JitterRecorder* recorder) {
 std::optional<iodev::Completion> PChannel::execute_slot(Slot now,
                                                         bool& slot_used) {
   slot_used = false;
-  const auto occupant = table_.occupant(now % table_.hyperperiod());
-  if (!occupant) return std::nullopt;
+  cursor_phase_ = phase_of(now);
+  cursor_slot_ = now;
+  const std::uint32_t occupant = table_.raw()[cursor_phase_];
+  if (occupant == sched::TimeSlotTable::kFree) return std::nullopt;
 
-  const std::uint32_t idx = occupant->value < run_of_task_.size()
-                                ? run_of_task_[occupant->value]
-                                : kNoRun;
+  const std::uint32_t idx =
+      occupant < run_of_task_.size() ? run_of_task_[occupant] : kNoRun;
   IOGUARD_CHECK_MSG(idx != kNoRun, "table references unknown task");
   TaskRun& run = runs_[idx];
 

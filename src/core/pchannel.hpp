@@ -33,16 +33,24 @@ class PChannel {
 
   /// Is absolute slot `now` free for the R-channel?
   [[nodiscard]] bool slot_is_free(Slot now) const {
-    return table_.is_free_abs(now);
+    return table_.raw()[phase_of(now)] == sched::TimeSlotTable::kFree;
   }
 
   /// Earliest absolute slot >= `from` that sigma* reserves (kNeverSlot when
   /// the table is all-free). Wake hint for the event-driven runner: between
   /// reserved slots an otherwise-idle channel executes nothing, so those
-  /// slots can be skipped and batch-attributed. A binary search over the
-  /// sorted within-hyperperiod reservation list keeps this O(log H) without
+  /// slots can be skipped and batch-attributed. Answered at once when `from`
+  /// itself is reserved; otherwise a binary search over the sorted
+  /// within-hyperperiod reservation list keeps this O(log H) without
   /// materializing a per-slot array (hyperperiods reach 2^24 slots).
   [[nodiscard]] Slot next_reserved_slot(Slot from) const;
+
+  /// The table cursor: phase within the hyperperiod of the slot executed
+  /// last. execute_slot advances it by one per slot, wrapping once per
+  /// hyperperiod, and pays `now % H` only after a jump (the event-driven
+  /// runner skipped this channel). The dense path checks it against
+  /// `now % H` every slot.
+  [[nodiscard]] Slot cursor_phase() const { return cursor_phase_; }
 
   [[nodiscard]] const sched::TimeSlotTable& table() const { return table_; }
   [[nodiscard]] const workload::TaskSet& tasks() const { return tasks_; }
@@ -68,8 +76,20 @@ class PChannel {
     std::uint32_t jobs_started = 0;
   };
 
+  /// Phase of absolute slot `t`: read off the cursor when `t` is the slot
+  /// executed last or the one after it, else `t % H`.
+  [[nodiscard]] Slot phase_of(Slot t) const {
+    if (t == cursor_slot_) return cursor_phase_;
+    if (t == cursor_slot_ + 1)
+      return cursor_phase_ + 1 == table_.hyperperiod() ? 0
+                                                       : cursor_phase_ + 1;
+    return t % table_.hyperperiod();
+  }
+
   workload::TaskSet tasks_;
   sched::TimeSlotTable table_;
+  Slot cursor_slot_ = 0;   ///< absolute slot executed last (0 before any)
+  Slot cursor_phase_ = 0;  ///< cursor_slot_ % hyperperiod
   /// Reserved slot indices within one hyperperiod, ascending (built once at
   /// construction; the table is immutable afterwards).
   std::vector<Slot> reserved_in_period_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/check.hpp"
 
@@ -17,6 +18,13 @@ std::uint32_t clamp_aux(Slot value) {
 
 std::uint32_t fault_aux(faults::FaultKind kind) {
   return static_cast<std::uint32_t>(kind);
+}
+
+bool same_shadow(const ShadowRegister& a, const ShadowRegister& b) {
+  return a.valid == b.valid && a.handle == b.handle &&
+         a.absolute_deadline == b.absolute_deadline &&
+         a.release == b.release && a.vm == b.vm && a.task == b.task &&
+         a.job == b.job;
 }
 
 }  // namespace
@@ -45,6 +53,7 @@ VirtManager::VirtManager(iodev::DeviceSpec device,
         VmId{static_cast<std::uint32_t>(i)}, config.pool_capacity,
         config.dispatch_overhead_slots));
   shadow_snapshot_.resize(config.num_vms);
+  shadow_dirty_.resize(config.num_vms, 1);
   last_exposed_.resize(config.num_vms);
   vm_fault_counts_.resize(config.num_vms, 0);
   vm_degraded_.resize(config.num_vms, 0);
@@ -100,6 +109,7 @@ bool VirtManager::submit(const workload::Job& job, Slot now) {
   if (mode_ != nullptr && request_cycles > request_translator_.wcet())
     mode_->note_budget_overrun(job.vm, now);
   const bool accepted = pools_[job.vm.value]->submit(job);
+  if (accepted) shadow_dirty_[job.vm.value] = 1;
   trace(now, accepted ? TraceEventKind::kSubmit : TraceEventKind::kDrop,
         job.vm, job.task, job.id);
   return accepted;
@@ -147,6 +157,7 @@ void VirtManager::begin_tick_faults(Slot now) {
 
 void VirtManager::abort_active(Slot now) {
   const ParamSlot p = pools_[active_vm_]->abort(active_handle_);
+  shadow_dirty_[active_vm_] = 1;
   trace(now, TraceEventKind::kWatchdogAbort, p.vm, p.task, p.job,
         clamp_aux(stall_watch_));
   ++watchdog_aborts_;
@@ -200,6 +211,7 @@ void VirtManager::note_vm_fault(VmId vm, Slot now) {
   if (vm_fault_counts_[i] < resilience_.degradation_threshold) return;
   vm_degraded_[i] = 1;
   const std::size_t shed = pools_[i]->shed_all();
+  shadow_dirty_[i] = 1;
   jobs_shed_ += shed;
   // Pending retries of the degraded VM are shed with the queue.
   std::size_t kept = 0;
@@ -244,6 +256,43 @@ void VirtManager::tick_slot(Slot now, std::vector<iodev::Completion>& out) {
   }
 }
 
+void VirtManager::refresh_shadows(Slot now) {
+  for (std::size_t i = 0; i < pools_.size(); ++i) {
+    if (shadow_dirty_[i] == 0) {
+      if (!check_bookkeeping_) continue;
+      // A pool's head moves only where its queue changes, and each such
+      // point marks it dirty; recompute anyway and prove the kept copy.
+      pools_[i]->refresh_shadow();
+      IOGUARD_CHECK_MSG(
+          same_shadow(pools_[i]->shadow(), shadow_snapshot_[i]),
+          "stale L-Sched shadow on device " + device_.name + " (site " +
+              std::to_string(fault_site_) + "), VM " + std::to_string(i) +
+              ", slot " + std::to_string(now) +
+              ": its queue changed without a dirty mark");
+      continue;
+    }
+    shadow_dirty_[i] = 0;
+    pools_[i]->refresh_shadow();
+    shadow_snapshot_[i] = pools_[i]->shadow();
+    // Edge-trigger a kShadowExpose whenever the exposed job changes (the
+    // L-Sched latching a new head into the shadow register).
+    if (tracer_ && shadow_snapshot_[i].valid &&
+        shadow_snapshot_[i].job != last_exposed_[i]) {
+      last_exposed_[i] = shadow_snapshot_[i].job;
+      trace(now, TraceEventKind::kShadowExpose, shadow_snapshot_[i].vm,
+            shadow_snapshot_[i].task, shadow_snapshot_[i].job);
+    }
+  }
+}
+
+void VirtManager::check_cursor(Slot now) const {
+  IOGUARD_CHECK_EQ_MSG(
+      pchannel_->cursor_phase(), now % pchannel_->table().hyperperiod(),
+      "P-channel table cursor on device " + device_.name + " (site " +
+          std::to_string(fault_site_) + ") lost its phase at slot " +
+          std::to_string(now));
+}
+
 VirtManager::SlotUse VirtManager::tick_slot_impl(
     Slot now, std::vector<iodev::Completion>& out) {
   if (injector_ != nullptr) begin_tick_faults(now);
@@ -251,17 +300,17 @@ VirtManager::SlotUse VirtManager::tick_slot_impl(
   // 1. P-channel has absolute priority on its reserved slots. Fault gating
   // never reaches this path: sigma* execution is identical under any plan.
   bool used = false;
-  if (auto done = pchannel_->execute_slot(now, used)) {
+  auto completed = pchannel_->execute_slot(now, used);
+  if (check_bookkeeping_) check_cursor(now);
+  if (completed) {
     ++busy_slots_;
-    trace(now, TraceEventKind::kPchannelSlot, done->job.vm, done->job.task,
-          done->job.id);
-    trace(now, TraceEventKind::kComplete, done->job.vm, done->job.task,
-          done->job.id);
-    if (done->completed_at > done->job.absolute_deadline)
-      trace(now, TraceEventKind::kDeadlineMiss, done->job.vm, done->job.task,
-            done->job.id,
-            clamp_aux(done->completed_at - done->job.absolute_deadline));
-    out.push_back(*done);
+    const workload::Job& job = completed->job;
+    trace(now, TraceEventKind::kPchannelSlot, job.vm, job.task, job.id);
+    trace(now, TraceEventKind::kComplete, job.vm, job.task, job.id);
+    if (completed->completed_at > job.absolute_deadline)
+      trace(now, TraceEventKind::kDeadlineMiss, job.vm, job.task, job.id,
+            clamp_aux(completed->completed_at - job.absolute_deadline));
+    out.push_back(*completed);
     return SlotUse::kBusy;
   }
   if (used) {
@@ -287,18 +336,7 @@ VirtManager::SlotUse VirtManager::tick_slot_impl(
   }
 
   // 2. Free slot: L-Scheds refresh the shadow registers...
-  for (std::size_t i = 0; i < pools_.size(); ++i) {
-    pools_[i]->refresh_shadow();
-    shadow_snapshot_[i] = pools_[i]->shadow();
-    // Edge-trigger a kShadowExpose whenever the exposed job changes (the
-    // L-Sched latching a new head into the shadow register).
-    if (tracer_ && shadow_snapshot_[i].valid &&
-        shadow_snapshot_[i].job != last_exposed_[i]) {
-      last_exposed_[i] = shadow_snapshot_[i].job;
-      trace(now, TraceEventKind::kShadowExpose, shadow_snapshot_[i].vm,
-            shadow_snapshot_[i].task, shadow_snapshot_[i].job);
-    }
-  }
+  refresh_shadows(now);
 
   // 3. ...and the G-Sched picks the slot's owner.
   const auto winner = gsched_->pick(now, shadow_snapshot_);
@@ -316,6 +354,7 @@ VirtManager::SlotUse VirtManager::tick_slot_impl(
             granted.job);
   }
   if (auto finished = pools_[*winner]->execute_shadow_slot()) {
+    shadow_dirty_[*winner] = 1;
     if (active_valid_ && active_job_ == finished->job) active_valid_ = false;
     if (injector_ != nullptr) {
       // The response frame is the fault surface: it can be lost in flight
@@ -401,6 +440,7 @@ std::uint64_t VirtManager::apply_mode_switch(std::size_t vm_index) {
   IOGUARD_CHECK(vm_index < pools_.size());
   IOGUARD_CHECK_MSG(mode_ != nullptr, "mode switch without a controller");
   std::uint64_t shed = pools_[vm_index]->shed_lo(*hi_tasks_);
+  shadow_dirty_[vm_index] = 1;
   // LO retries waiting out backoff are shed with the queue; HI retries keep
   // their slots (their C_hi guarantee survives the switch).
   std::size_t kept = 0;

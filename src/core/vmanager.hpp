@@ -17,6 +17,7 @@
 // bit-identical with or without faults.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -170,6 +171,15 @@ class VirtManager {
   /// to having ticked each skipped slot.
   void note_skipped_slots(std::uint64_t n) { profile_quiescent_slots_ += n; }
 
+  /// The L-Sched shadows and the P-channel's table cursor are kept current
+  /// from the events that change them: a free slot refreshes only the
+  /// shadows of pools whose queue changed since (DESIGN.md §15.2). With the
+  /// checks on (the default; the dense path), every free slot also
+  /// recomputes the other shadows, and every slot the cursor's phase, as the
+  /// hardware does, and IOGUARD_CHECKs them against the kept copies.
+  /// Hypervisor::set_slot_skipping(true) turns the checks off.
+  void set_bookkeeping_checks(bool on) { check_bookkeeping_ = on; }
+
   /// Cycle cost of the virtualization-driver path for the last completion
   /// (request + response translation); sub-slot, reported for calibration.
   [[nodiscard]] const RtTranslator& request_translator() const {
@@ -180,9 +190,12 @@ class VirtManager {
   }
 
   /// Attaches an event trace buffer (not owned); `device` labels the events.
+  /// Every shadow is refreshed at the next free slot, so the new buffer sees
+  /// the kShadowExpose edges a refresh of all pools would trace.
   void set_tracer(EventTrace* tracer, DeviceId device) {
     tracer_ = tracer;
     trace_device_ = device;
+    std::fill(shadow_dirty_.begin(), shadow_dirty_.end(), 1);
   }
 
   /// Attaches a jitter recorder (not owned; nullptr detaches) fed at the
@@ -194,6 +207,12 @@ class VirtManager {
   enum class SlotUse : std::uint8_t { kBusy, kStall, kQuiescent };
 
   SlotUse tick_slot_impl(Slot now, std::vector<iodev::Completion>& out);
+  /// L-Sched step of a free slot: refreshes the shadow snapshot of every
+  /// pool marked dirty (tracing kShadowExpose edges) and, with the checks
+  /// on, recomputes the clean ones and checks them against the snapshot.
+  void refresh_shadows(Slot now);
+  /// Dense-path check that the cursor's phase is `now % H`.
+  void check_cursor(Slot now) const;
   /// Any R-channel work in the system (pending pool entries, backoff
   /// retries, or a partially-executed op): distinguishes stall from
   /// quiescent when a slot goes unused.
@@ -222,7 +241,11 @@ class VirtManager {
   RtTranslator request_translator_;
   RtTranslator response_translator_;
   std::vector<ShadowRegister> shadow_snapshot_;
+  /// Per pool: its queue changed since its shadow was last refreshed (an
+  /// accepted submit, a completion, an abort, a shed).
+  std::vector<std::uint8_t> shadow_dirty_;
   std::vector<JobId> last_exposed_;  ///< per pool, for kShadowExpose edges
+  bool check_bookkeeping_ = true;
   Slot busy_slots_ = 0;
   std::uint64_t runtime_jobs_completed_ = 0;
   std::uint64_t profile_stall_slots_ = 0;

@@ -36,7 +36,7 @@ IoTaskSpec predef(std::uint32_t id, Slot t, Slot c, Slot d, Slot offset = 0) {
   s.id = TaskId{id};
   s.vm = VmId{0};
   s.device = DeviceId{0};
-  s.name = "p" + std::to_string(id);
+  s.name = std::string("p").append(std::to_string(id));
   s.kind = TaskKind::kPredefined;
   s.period = t;
   s.wcet = c;
@@ -52,7 +52,7 @@ IoTaskSpec vm_task(std::uint32_t id, Slot t, Slot c, Slot d,
   s.kind = TaskKind::kRuntime;
   s.vm = VmId{vm};
   s.device = DeviceId{dev};
-  s.name = "r" + std::to_string(id);
+  s.name = std::string("r").append(std::to_string(id));
   return s;
 }
 

@@ -3,6 +3,7 @@
 // resume at any --jobs width (with and without faults and metrics),
 // deterministic re-execution, graceful stop, and the CKP diagnostics.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -167,6 +168,62 @@ TEST_F(AtomicFileTest, WriterCommitReplacesExistingFile) {
   std::string got((std::istreambuf_iterator<char>(in)),
                   std::istreambuf_iterator<char>());
   EXPECT_EQ(got, "new contents");
+}
+
+/// The staging file a writer in this process uses for `target`.
+std::string staging_path(const std::string& target) {
+  return target + std::string(atomic_temp_marker()) +
+         std::to_string(::getpid());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST_F(AtomicFileTest, WriterStreamsIntoTheStagingFileAndCommitPublishes) {
+  const std::string target = path("trace.json");
+  AtomicFileWriter w(target);
+  w.stream() << "streamed" << std::flush;
+  // The bytes are on disk before commit, not held in memory.
+  EXPECT_EQ(read_file(staging_path(target)), "streamed");
+  EXPECT_FALSE(fs::exists(target));
+  w.stream() << " artifact";
+  ASSERT_TRUE(w.commit().ok());
+  EXPECT_EQ(read_file(target), "streamed artifact");
+  EXPECT_FALSE(fs::exists(staging_path(target)));
+  EXPECT_TRUE(find_orphaned_temp_files(dir_.string()).empty());
+}
+
+TEST_F(AtomicFileTest, WriterDestroyedWithoutCommitLeavesNoFile) {
+  const std::string target = path("abandoned.json");
+  {
+    AtomicFileWriter w(target);
+    w.stream() << "partial" << std::flush;
+    ASSERT_TRUE(fs::exists(staging_path(target)));
+  }
+  EXPECT_FALSE(fs::exists(target));
+  EXPECT_FALSE(fs::exists(staging_path(target)));
+  EXPECT_TRUE(find_orphaned_temp_files(dir_.string()).empty());
+}
+
+TEST_F(AtomicFileTest, UnopenableStagingPathFailsCommitAndKeepsTarget) {
+  const std::string target = path("out.txt");
+  ASSERT_TRUE(write_file_atomic(target, "old").ok());
+  // A directory where the staging file would go cannot be opened for
+  // writing (permissions would not stop a root test run).
+  fs::create_directory(staging_path(target));
+  {
+    AtomicFileWriter w(target);
+    w.stream() << "new contents";
+    const Status st = w.commit();
+    EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st;
+  }
+  EXPECT_EQ(read_file(target), "old");
+  // The writer removes only a staging file it created.
+  EXPECT_TRUE(fs::is_directory(staging_path(target)));
+  EXPECT_EQ(write_file_atomic("", "x").code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(AtomicFileTest, OrphanScanFindsPlantedStagingFile) {

@@ -3,9 +3,13 @@
 // virtualization manager.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "core/gsched.hpp"
 #include "core/hypervisor.hpp"
 #include "core/io_pool.hpp"
@@ -225,7 +229,7 @@ workload::IoTaskSpec predefined(std::uint32_t id, Slot t, Slot c,
   s.id = TaskId{id};
   s.vm = VmId{0};
   s.device = DeviceId{0};
-  s.name = "p" + std::to_string(id);
+  s.name = std::string("p").append(std::to_string(id));
   s.kind = workload::TaskKind::kPredefined;
   s.period = t;
   s.wcet = c;
@@ -263,6 +267,69 @@ TEST(PChannel, FreeSlotsReportedFree) {
   for (Slot s = 0; s < 10; ++s)
     if (pch.slot_is_free(s)) ++free_count;
   EXPECT_EQ(free_count, 8);
+}
+
+/// The table cursor against a brute-force scan of the table: occupancy,
+/// slot_is_free and the wake hint must equal what `table.occupant(now % H)`
+/// and a forward scan say, over walks that mix +1 steps with the jumps the
+/// wake calendar makes (to the next reservation, or anywhere a submission
+/// wakes the manager). Each task takes offset 0 and exactly its reserved
+/// slots per hyperperiod as WCET, so a jump can only put its jobs behind,
+/// and every reserved slot the walk visits executes.
+TEST(PChannel, CursorMatchesBruteForceScanOverStepsAndJumps) {
+  constexpr std::uint32_t kFree = sched::TimeSlotTable::kFree;
+  const std::vector<std::vector<std::uint32_t>> tables = {
+      {kFree, kFree, kFree, kFree, kFree, kFree, kFree},  // all free
+      {0},                                                // one slot
+      {kFree},
+      {0, 0, 1, 0, 1},                                    // fully reserved
+      {kFree, kFree, 0, kFree, kFree, kFree, kFree, kFree, 0},  // wraps
+  };
+  for (const auto& slots : tables) {
+    const auto table = sched::TimeSlotTable::from_slots(slots);
+    const Slot hp = table.hyperperiod();
+    std::map<std::uint32_t, Slot> wcet;
+    for (const std::uint32_t occupant : slots)
+      if (occupant != kFree) ++wcet[occupant];
+    workload::TaskSet ts;
+    for (const auto& [id, c] : wcet) ts.add(predefined(id, hp, c));
+    PChannel pch(ts, table);
+    const auto scan = [&](Slot from) {
+      for (Slot t = from; t < from + hp; ++t)
+        if (table.occupant(t % hp)) return t;
+      return kNeverSlot;
+    };
+
+    Rng rng(hp);
+    Slot now = 0;
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE("H=" + std::to_string(hp) + " now=" + std::to_string(now));
+      const auto occupant = table.occupant(now % hp);
+      EXPECT_EQ(pch.slot_is_free(now), !occupant.has_value());
+      EXPECT_EQ(pch.next_reserved_slot(now), scan(now));
+      bool used = false;
+      const auto done = pch.execute_slot(now, used);
+      EXPECT_EQ(used, occupant.has_value());
+      if (done) {
+        EXPECT_EQ(done->job.task, *occupant);
+      }
+      EXPECT_EQ(pch.cursor_phase(), now % hp);
+      EXPECT_EQ(pch.slot_is_free(now), !occupant.has_value());
+      EXPECT_EQ(pch.next_reserved_slot(now + 1), scan(now + 1));
+      switch (rng.uniform_int(0, 3)) {
+        case 0: {  // the calendar sleeps until the next reservation
+          const Slot wake = pch.next_reserved_slot(now + 1);
+          now = wake == kNeverSlot ? now + 1 + hp : wake;
+          break;
+        }
+        case 1:  // a submission wakes the manager anywhere ahead
+          now += 2 + rng.uniform_int(0, 3 * hp);
+          break;
+        default:
+          ++now;
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------------- translator

@@ -32,7 +32,7 @@ IoTaskSpec predefined_task(std::uint32_t id, Slot t, Slot c, Slot d,
   s.id = TaskId{id};
   s.vm = VmId{0};
   s.device = DeviceId{0};
-  s.name = "p" + std::to_string(id);
+  s.name = std::string("p").append(std::to_string(id));
   s.kind = TaskKind::kPredefined;
   s.period = t;
   s.wcet = c;
@@ -45,7 +45,7 @@ IoTaskSpec predefined_task(std::uint32_t id, Slot t, Slot c, Slot d,
 IoTaskSpec runtime_task(std::uint32_t id, Slot t, Slot c, Slot d) {
   IoTaskSpec s = predefined_task(id, t, c, d);
   s.kind = TaskKind::kRuntime;
-  s.name = "r" + std::to_string(id);
+  s.name = std::string("r").append(std::to_string(id));
   return s;
 }
 

@@ -262,7 +262,7 @@ TEST_P(GlobalAdmissionProperty, SpreadTablesMatchUnscreenedReference) {
     s.id = TaskId{static_cast<std::uint32_t>(i)};
     s.vm = VmId{0};
     s.device = DeviceId{0};
-    s.name = "p" + std::to_string(i);
+    s.name = std::string("p").append(std::to_string(i));
     s.kind = workload::TaskKind::kPredefined;
     s.period = kPeriods[rng.index(std::size(kPeriods))];
     s.deadline = s.period;
@@ -310,7 +310,7 @@ TEST_P(VmAdmissionProperty, AdmittedTaskSetsNeverMissOnWorstCaseSupply) {
     s.id = TaskId{static_cast<std::uint32_t>(i)};
     s.vm = VmId{0};
     s.device = DeviceId{0};
-    s.name = "x" + std::to_string(i);
+    s.name = std::string("x").append(std::to_string(i));
     s.period = 20 + rng.uniform_int(0, 180);
     s.deadline = s.period - rng.uniform_int(0, s.period / 4);
     s.wcet = 1 + rng.uniform_int(0, std::max<Slot>(1, s.deadline / 8) - 1);

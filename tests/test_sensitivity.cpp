@@ -14,7 +14,7 @@ workload::IoTaskSpec task(std::uint32_t id, Slot t, Slot c, Slot d) {
   s.id = TaskId{id};
   s.vm = VmId{0};
   s.device = DeviceId{0};
-  s.name = "t" + std::to_string(id);
+  s.name = std::string("t").append(std::to_string(id));
   s.period = t;
   s.wcet = c;
   s.deadline = d;

@@ -2,9 +2,12 @@
 // on all four architectures, and the software footprint model (Fig. 6).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "core/event_trace.hpp"
 #include "system/config.hpp"
 #include "system/experiment.hpp"
 #include "system/runner.hpp"
@@ -195,6 +198,36 @@ std::string summary_bytes(const TrialConfig& tc) {
   return os.str();
 }
 
+/// Every event `tc` records, as CSV rows (slot,kind,device,vm,task,job,aux),
+/// from a trace ring that never wraps: summaries and metrics count events,
+/// but only the sequence shows one that moved to another slot.
+std::vector<std::string> traced_events(TrialConfig tc) {
+  core::EventTrace trace(std::size_t{1} << 19);
+  tc.trace = &trace;
+  (void)run_trial(tc);
+  EXPECT_EQ(trace.overwritten(), 0u) << "the ring wrapped; enlarge it";
+  std::ostringstream os;
+  trace.dump_csv(os);
+  std::vector<std::string> rows;
+  std::istringstream is(os.str());
+  for (std::string row; std::getline(is, row);) rows.push_back(row);
+  return rows;
+}
+
+/// Event mode and the stepped reference record the same events in the same
+/// order; a failure names the first row that differs.
+void expect_same_events(TrialConfig tc) {
+  tc.stepped = false;
+  const std::vector<std::string> event = traced_events(tc);
+  tc.stepped = true;
+  const std::vector<std::string> stepped = traced_events(tc);
+  EXPECT_GT(event.size(), 1000u) << "the trial must trace something";
+  const std::size_t n = std::min(event.size(), stepped.size());
+  for (std::size_t i = 0; i < n; ++i)
+    ASSERT_EQ(event[i], stepped[i]) << "first differing trace row " << i;
+  EXPECT_EQ(event.size(), stepped.size());
+}
+
 TEST(Runner, EventDrivenMatchesSteppedReferenceAllSystems) {
   for (const SystemKind kind :
        {SystemKind::kLegacy, SystemKind::kBlueVisor, SystemKind::kRtXen,
@@ -217,6 +250,30 @@ TEST(Runner, EventDrivenMatchesSteppedReferenceUnderFaults) {
   const std::string event = summary_bytes(tc);
   tc.stepped = true;
   EXPECT_EQ(event, summary_bytes(tc));
+  expect_same_events(tc);
+}
+
+TEST(Runner, EventDrivenMatchesSteppedReferenceUnderModeSwitches) {
+  // Budget overruns switch VMs to HI mid-trial: each switch sheds LO pool
+  // entries, and each recovery restores the servers.
+  auto tc = base_trial(SystemKind::kIoGuard, 0.8, 0.5);
+  tc.workload.mixed_criticality = true;
+  tc.min_jobs_per_task = 8;
+  auto plan = faults::FaultPlan::parse("overrun:rate=0.05,param=40");
+  ASSERT_TRUE(plan.ok());
+  tc.faults = *plan;
+  tc.mode_switch.enabled = true;
+  tc.mode_switch.overrun_threshold = 1;
+  tc.mode_switch.recovery_hysteresis_slots = 200;
+  tc.mode_switch.hi_budget_factor = 1.5;
+  const auto r = run_trial(tc);
+  EXPECT_GT(r.mcs.switches_to_hi, 0u);
+  EXPECT_GT(r.mcs.lo_jobs_shed, 0u);
+  tc.stepped = false;
+  const std::string event = summary_bytes(tc);
+  tc.stepped = true;
+  EXPECT_EQ(event, summary_bytes(tc));
+  expect_same_events(tc);
 }
 
 TEST(Runner, EventDrivenMatchesSteppedReferenceWithObservability) {

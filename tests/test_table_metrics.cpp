@@ -17,7 +17,7 @@ workload::IoTaskSpec predefined(std::uint32_t id, Slot t, Slot c,
   s.id = TaskId{id};
   s.vm = VmId{0};
   s.device = DeviceId{0};
-  s.name = "p" + std::to_string(id);
+  s.name = std::string("p").append(std::to_string(id));
   s.kind = workload::TaskKind::kPredefined;
   s.period = t;
   s.wcet = c;
