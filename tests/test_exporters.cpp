@@ -134,6 +134,35 @@ TEST(ExporterGolden, SummaryJitterAndProfile) {
   expect_matches_golden("summary_jitter_profile_golden.json", json);
 }
 
+TEST(ExporterGolden, JitterBeyondTheTopBucket) {
+  // An overloaded trial whose R-channel jitter passes the top HDR bucket
+  // (2^25 - 1 cycles): the summary clamps quantiles and max to that bound,
+  // while Prometheus counts the excess only under +Inf and keeps its exact
+  // values in _sum.
+  telemetry::MetricsRegistry registry;
+  sys::TrialConfig tc;
+  tc.kind = sys::SystemKind::kIoGuard;
+  tc.workload.num_vms = 4;
+  tc.workload.target_utilization = 1.6;
+  tc.workload.preload_fraction = 0.7;
+  tc.min_jobs_per_task = 10;
+  tc.trial_seed = 3;
+  tc.collect_jitter = true;
+  tc.metrics = &registry;
+  std::ostringstream os;
+  sys::write_trial_summary_json(os, tc, sys::run_trial(tc));
+  telemetry::write_prometheus(os, registry);
+  const std::string text = os.str();
+  EXPECT_TRUE(contains(text, "\"max\": 33554431}"));
+  EXPECT_TRUE(contains(text,
+                       "ioguard_timing_jitter_cycles_bucket{channel=\"R\","
+                       "vm=\"0\",le=\"33554431\"} 428\n"));
+  EXPECT_TRUE(contains(text,
+                       "ioguard_timing_jitter_cycles_bucket{channel=\"R\","
+                       "vm=\"0\",le=\"+Inf\"} 442\n"));
+  expect_matches_golden("jitter_beyond_top_bucket_golden.txt", text);
+}
+
 TEST(ExporterGolden, SummaryFlightRecorder) {
   const TempDir dir;
   sys::TrialConfig tc = short_trial(sys::SystemKind::kIoGuard);
