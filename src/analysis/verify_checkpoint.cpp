@@ -15,8 +15,7 @@ void verify_checkpoint(const sys::CheckpointFacts& facts,
                "manifest");
   } else if (facts.manifest_present && !facts.manifest_parsed) {
     report.add(DiagCode::kCkpStaleManifest,
-               "manifest exists but does not parse (bad magic or missing "
-               "fingerprint line)",
+               "manifest exists but does not parse: " + facts.manifest_error,
                "manifest");
   }
   if (facts.corrupt) {

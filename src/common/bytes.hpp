@@ -74,6 +74,9 @@ class ByteReader {
 
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] bool at_end() const { return ok_ && pos_ == in_.size(); }
+  /// Latches the failure flag for bytes that were read but hold a value
+  /// the format forbids, so the caller's one ok() check rejects them too.
+  void fail() { ok_ = false; }
 
  private:
   [[nodiscard]] bool ensure(std::size_t n) {

@@ -17,15 +17,16 @@
 //
 // The recorder lives in common/ so core::VirtManager/PChannel and
 // iodev::FifoController (below core in the link order) can both feed it.
-// Single-writer per trial; samples are kept in insertion order so exports
-// stay byte-identical across --jobs=1 vs N.
+// Single-writer per trial; every sample goes once, in cycles, into an HDR
+// histogram, whose merge is order-independent, so exports stay
+// byte-identical across --jobs=1 vs N.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hpp"
+#include "common/hdr_histogram.hpp"
 #include "common/types.hpp"
 
 namespace ioguard {
@@ -35,47 +36,52 @@ enum class JitterChannel : std::uint8_t {
   kRChannel = 1,   ///< run-time jobs through pools/G-Sched
   kFifo = 2,       ///< baseline systems' shared FIFO path
 };
-inline constexpr std::size_t kJitterChannelCount = 3;
 
 /// Prometheus label value for a channel ("P", "R", "fifo").
 [[nodiscard]] const char* to_string(JitterChannel channel);
 
+/// Worst channel deviation of one task, in slots.
+struct TaskJitter {
+  std::uint32_t task = 0;
+  std::uint64_t ops = 0;         ///< delivered operations observed
+  std::uint64_t worst_slots = 0; ///< largest deviation seen
+};
+
+/// One trial's jitter (TrialConfig::collect_jitter), every histogram in
+/// cycles. Channel histograms are indexed by VM, translator histograms by
+/// device.
+struct JitterSummary {
+  bool collected = false;
+  std::vector<HdrHistogram> p_by_vm;
+  std::vector<HdrHistogram> r_by_vm;
+  std::vector<HdrHistogram> fifo_by_vm;
+  std::vector<HdrHistogram> translator_by_device;
+  std::vector<TaskJitter> by_task;  ///< ascending by task id
+};
+
 class JitterRecorder {
  public:
-  explicit JitterRecorder(std::size_t num_vms);
+  /// Every channel has one (empty) histogram per VM from the start.
+  JitterRecorder(std::size_t num_vms, Cycle cycles_per_slot);
 
   /// Records one delivered operation. `actual` earlier than `intended`
   /// cannot happen for any channel (intended is the unloaded best case);
-  /// recorded deviation is actual - intended in slots.
+  /// the recorded deviation is (actual - intended) * cycles_per_slot.
   void record(JitterChannel channel, VmId vm, TaskId task, Slot intended,
               Slot actual);
 
   /// Records one response-translation deviation in cycles (actual cost
-  /// minus the configured best case) for `device`.
+  /// minus the configured best case) for `device`; the device's histogram
+  /// (and those of lower device ids) appear on its first record.
   void record_translator(DeviceId device, Cycle jitter_cycles);
 
-  [[nodiscard]] std::size_t num_vms() const { return num_vms_; }
-  /// Per-(channel, VM) deviation samples in slots, insertion order.
-  [[nodiscard]] const SampleSet& samples(JitterChannel channel,
-                                         std::size_t vm_index) const;
-  /// Per-device translator deviation samples in cycles (indexed by
-  /// device id; grows on first record for a device).
-  [[nodiscard]] const std::vector<SampleSet>& translator_by_device() const {
-    return translator_;
-  }
-
-  struct TaskJitter {
-    std::uint32_t task = 0;
-    std::uint64_t ops = 0;         ///< delivered operations observed
-    std::uint64_t worst_slots = 0; ///< largest deviation seen
-  };
-  /// Compact per-task worst-case view, ascending by task id.
-  [[nodiscard]] std::vector<TaskJitter> by_task() const;
+  /// Moves the histograms out at the end of the trial and compacts the
+  /// per-task view; the recorder takes no records afterwards.
+  [[nodiscard]] JitterSummary harvest();
 
  private:
-  std::size_t num_vms_;
-  std::vector<SampleSet> by_channel_vm_;  // channel-major, then VM
-  std::vector<SampleSet> translator_;
+  Cycle cycles_per_slot_;
+  JitterSummary summary_;
   std::vector<TaskJitter> by_task_;  // dense by task id; ops==0 -> unseen
 };
 

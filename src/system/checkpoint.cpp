@@ -1,5 +1,6 @@
 #include "system/checkpoint.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -21,7 +22,12 @@ namespace {
 // the payload bytes the frame claims to carry.
 constexpr std::uint32_t kFrameMagic = 0x314B5043u;  // "CPK1"
 constexpr std::uint32_t kMaxPayload = 64u << 20;    // sanity bound, 64 MiB
-constexpr std::string_view kManifestMagic = "ioguard-checkpoint-v2";
+constexpr std::string_view kManifestMagic = "ioguard-checkpoint-v3";
+constexpr std::string_view kManifestFamily = "ioguard-checkpoint-";
+// TrialConfig::validated allows at most 64 VMs and a trial has 4 devices,
+// so a longer jitter series list is malformed; the bound keeps a frame from
+// decoding into far more memory than it occupies.
+constexpr std::uint32_t kMaxJitterSeries = 64;
 
 constexpr std::uint8_t kFlagAbandoned = 1u << 0;
 constexpr std::uint8_t kFlagHasMetrics = 1u << 1;
@@ -65,17 +71,64 @@ void put_sample_set(ByteWriter& w, const SampleSet& set) {
   return set;
 }
 
-void put_sample_sets(ByteWriter& w, const std::vector<SampleSet>& sets) {
-  w.put_u32(static_cast<std::uint32_t>(sets.size()));
-  for (const auto& s : sets) put_sample_set(w, s);
+// A histogram is its total, exact sum, clamped max and count beyond the top
+// bucket, then its non-empty buckets as (u8 index, u64 count) pairs in
+// ascending index order.
+void put_histogram(ByteWriter& w, const HdrHistogram& h) {
+  const HdrHistogram::Raw& raw = h.raw();
+  w.put_u64(h.count());
+  w.put_u64(raw.sum);
+  w.put_u64(raw.max);
+  w.put_u64(raw.beyond_top);
+  const auto filled = static_cast<std::uint8_t>(
+      std::count_if(raw.counts.begin(), raw.counts.end(),
+                    [](std::uint64_t c) { return c != 0; }));
+  w.put_u8(filled);
+  for (std::size_t i = 0; i < HdrHistogram::kBucketCount; ++i) {
+    if (raw.counts[i] == 0) continue;
+    w.put_u8(static_cast<std::uint8_t>(i));
+    w.put_u64(raw.counts[i]);
+  }
 }
 
-[[nodiscard]] std::vector<SampleSet> get_sample_sets(ByteReader& r) {
-  std::vector<SampleSet> sets;
+// Fails the reader on a bucket index outside the layout or out of order,
+// and on counts that do not sum to the stored total.
+[[nodiscard]] HdrHistogram get_histogram(ByteReader& r) {
+  HdrHistogram::Raw raw;
+  const std::uint64_t total = r.get_u64();
+  raw.sum = r.get_u64();
+  raw.max = r.get_u64();
+  raw.beyond_top = r.get_u64();
+  bool valid = raw.beyond_top <= total;
+  std::uint64_t counted = raw.beyond_top;
+  std::size_t next = 0;  // lowest index the next pair may name
+  const std::uint8_t filled = r.get_u8();
+  for (std::uint8_t k = 0; k < filled && valid && r.ok(); ++k) {
+    const std::size_t index = r.get_u8();
+    const std::uint64_t count = r.get_u64();
+    valid = index >= next && index < HdrHistogram::kBucketCount &&
+            count <= total - counted;
+    if (!valid) break;
+    raw.counts[index] = count;
+    counted += count;
+    next = index + 1;
+  }
+  if (!valid || counted != total) r.fail();
+  return HdrHistogram::from_raw(raw);
+}
+
+void put_histograms(ByteWriter& w, const std::vector<HdrHistogram>& series) {
+  w.put_u32(static_cast<std::uint32_t>(series.size()));
+  for (const HdrHistogram& h : series) put_histogram(w, h);
+}
+
+[[nodiscard]] std::vector<HdrHistogram> get_histograms(ByteReader& r) {
+  std::vector<HdrHistogram> series;
   const std::uint32_t n = r.get_u32();
+  if (n > kMaxJitterSeries) r.fail();
   for (std::uint32_t i = 0; i < n && r.ok(); ++i)
-    sets.push_back(get_sample_set(r));
-  return sets;
+    series.push_back(get_histogram(r));
+  return series;
 }
 
 void encode_trial_result(ByteWriter& w, const TrialResult& result) {
@@ -116,14 +169,14 @@ void encode_trial_result(ByteWriter& w, const TrialResult& result) {
   w.put_u64(fc.transit_drops);
   w.put_u64(fc.fifo_frames_lost);
   w.put_u64(fc.fifo_stalled_slots);
-  // Observability harvest (appended last so the field order above matches
-  // older journals byte-for-byte up to this point).
+  // Observability harvest, jitter as HDR histograms in cycles (v3; v2
+  // journals carried every sample and are refused by the manifest magic).
   const JitterSummary& js = result.jitter;
   w.put_u8(js.collected ? 1 : 0);
-  put_sample_sets(w, js.p_by_vm);
-  put_sample_sets(w, js.r_by_vm);
-  put_sample_sets(w, js.fifo_by_vm);
-  put_sample_sets(w, js.translator_by_device);
+  put_histograms(w, js.p_by_vm);
+  put_histograms(w, js.r_by_vm);
+  put_histograms(w, js.fifo_by_vm);
+  put_histograms(w, js.translator_by_device);
   w.put_u32(static_cast<std::uint32_t>(js.by_task.size()));
   for (const auto& t : js.by_task) {
     w.put_u32(t.task);
@@ -138,8 +191,8 @@ void encode_trial_result(ByteWriter& w, const TrialResult& result) {
     w.put_u64(c.quiescent_slots);
   }
   w.put_u64(result.flight_dumps);
-  // Mixed-criticality counters, appended last (the manifest magic is v2:
-  // v1 journals predate this block and are rejected, not misread).
+  // Mixed-criticality counters, appended last (added in v2: v1 journals
+  // predate this block and are rejected, not misread).
   const ModeSwitchCounters& mc = result.mcs;
   w.put_u64(mc.switches_to_hi);
   w.put_u64(mc.recoveries);
@@ -193,13 +246,13 @@ void encode_trial_result(ByteWriter& w, const TrialResult& result) {
   fc.fifo_stalled_slots = r.get_u64();
   JitterSummary& js = result.jitter;
   js.collected = r.get_u8() != 0;
-  js.p_by_vm = get_sample_sets(r);
-  js.r_by_vm = get_sample_sets(r);
-  js.fifo_by_vm = get_sample_sets(r);
-  js.translator_by_device = get_sample_sets(r);
+  js.p_by_vm = get_histograms(r);
+  js.r_by_vm = get_histograms(r);
+  js.fifo_by_vm = get_histograms(r);
+  js.translator_by_device = get_histograms(r);
   const std::uint32_t task_count = r.get_u32();
   for (std::uint32_t i = 0; i < task_count && r.ok(); ++i) {
-    JitterRecorder::TaskJitter t;
+    TaskJitter t;
     t.task = r.get_u32();
     t.ops = r.get_u64();
     t.worst_slots = r.get_u64();
@@ -334,8 +387,16 @@ struct JournalScan {
     const std::string& text) {
   std::istringstream is(text);
   std::string line;
-  if (!std::getline(is, line) || line != kManifestMagic)
+  if (!std::getline(is, line))
     return DataLossError("checkpoint manifest: bad or missing magic line");
+  if (line != kManifestMagic) {
+    if (line.rfind(kManifestFamily, 0) != 0)
+      return DataLossError("checkpoint manifest: bad or missing magic line");
+    return DataLossError("checkpoint manifest: format " + line +
+                         " found, this build reads " +
+                         std::string(kManifestMagic) +
+                         "; start a fresh checkpoint");
+  }
   CheckpointMeta meta;
   bool have_fingerprint = false;
   while (std::getline(is, line)) {
@@ -478,12 +539,19 @@ CheckpointFacts inspect_checkpoint(const std::string& path) {
   if (facts.manifest_present) {
     auto meta = parse_manifest(*manifest_text);
     facts.manifest_parsed = meta.ok();
-    if (meta.ok()) facts.meta = std::move(meta).value();
+    if (meta.ok())
+      facts.meta = std::move(meta).value();
+    else
+      facts.manifest_error = meta.status().message();
   }
 
   auto bytes = read_all(path);
   facts.journal_present = bytes.ok();
-  if (facts.journal_present) {
+  // Under a manifest this build cannot parse (an older format version) the
+  // records' layout is unknown: decoding them would call a valid journal
+  // corrupt.
+  if (facts.journal_present &&
+      (facts.manifest_parsed || !facts.manifest_present)) {
     const JournalScan scan = scan_journal(*bytes);
     facts.records = scan.records.size();
     facts.truncated_tail = scan.truncated_tail;

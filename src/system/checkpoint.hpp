@@ -12,7 +12,8 @@
 // mid-append -- by dropping it, but rejects checksum corruption inside the
 // retained prefix with a clear DataLoss status. Records serialize the full
 // TrialResult (doubles as IEEE-754 bit patterns, SampleSet in insertion
-// order, OnlineStats as raw Welford state) plus the trial's private metrics
+// order, OnlineStats as raw Welford state, HDR histograms as their non-empty
+// buckets) plus the trial's private metrics
 // delta, so a resumed sweep merges restored trials bit-identically to an
 // uninterrupted run at any --jobs value.
 #pragma once
@@ -60,6 +61,7 @@ struct CheckpointFacts {
   bool journal_present = false;
   bool manifest_present = false;
   bool manifest_parsed = false;   ///< manifest existed and parsed cleanly
+  std::string manifest_error;     ///< why it did not parse, when it did not
   CheckpointMeta meta;            ///< valid when manifest_parsed
   std::size_t records = 0;        ///< CRC-valid records in the journal
   std::size_t abandoned = 0;      ///< records flagged abandoned

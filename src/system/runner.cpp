@@ -16,7 +16,6 @@
 #include "iodev/fifo_controller.hpp"
 #include "system/stages.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/hdr_histogram.hpp"
 #include "telemetry/spans.hpp"
 
 namespace ioguard::sys {
@@ -141,35 +140,38 @@ void fill_metrics(telemetry::MetricsRegistry& reg, const TrialConfig& config,
   }
 }
 
-/// Jitter/profile export (DESIGN.md §14). Jitter bucket bounds come from the
-/// HDR histogram layout, so the Prometheus LatencyHistogram lands every
-/// integer sample in the bucket an HdrHistogram would -- one encoding, two
-/// export paths. Emits nothing when the trial collected nothing, keeping
-/// observability-off runs byte-identical to older builds.
+/// Jitter/profile export (DESIGN.md §14). Each jitter histogram is loaded
+/// bucket by bucket into a LatencyHistogram over the HDR bounds, its values
+/// beyond the top bucket as the +Inf bucket and its exact sum as _sum (an
+/// integer below 2^53, so the double is exact). Emits nothing when the
+/// trial collected nothing, keeping observability-off runs byte-identical
+/// to older builds.
 void fill_observability_metrics(telemetry::MetricsRegistry& reg,
                                 const TrialConfig& config,
                                 const TrialResult& result) {
   using telemetry::Labels;
   if (result.jitter.collected) {
-    const std::vector<double> bounds = telemetry::HdrHistogram{}.bounds();
-    const double cycles_per_slot =
-        static_cast<double>(config.cal.cycles_per_slot);
-    auto observe = [&](const char* channel, const char* key, std::size_t i,
-                       const SampleSet& samples, double scale) {
-      auto& h = reg.histogram(
-          "ioguard_timing_jitter_cycles",
-          {{"channel", channel}, {key, std::to_string(i)}}, bounds);
-      for (double v : samples.samples()) h.observe(v * scale);
+    const std::vector<double> bounds = HdrHistogram::bounds();
+    std::vector<std::uint64_t> counts;
+    auto load = [&](const char* channel, const char* key,
+                    const std::vector<HdrHistogram>& series) {
+      for (std::size_t i = 0; i < series.size(); ++i) {
+        const HdrHistogram::Raw& raw = series[i].raw();
+        counts.assign(raw.counts.begin(), raw.counts.end());
+        counts.push_back(raw.beyond_top);
+        telemetry::LatencyHistogram snapshot(bounds);
+        snapshot.load(counts, static_cast<double>(raw.sum));
+        reg.histogram("ioguard_timing_jitter_cycles",
+                      {{"channel", channel}, {key, std::to_string(i)}},
+                      bounds)
+            .merge(snapshot);
+      }
     };
     const JitterSummary& j = result.jitter;
-    for (std::size_t v = 0; v < j.p_by_vm.size(); ++v)
-      observe("P", "vm", v, j.p_by_vm[v], cycles_per_slot);
-    for (std::size_t v = 0; v < j.r_by_vm.size(); ++v)
-      observe("R", "vm", v, j.r_by_vm[v], cycles_per_slot);
-    for (std::size_t v = 0; v < j.fifo_by_vm.size(); ++v)
-      observe("fifo", "vm", v, j.fifo_by_vm[v], cycles_per_slot);
-    for (std::size_t d = 0; d < j.translator_by_device.size(); ++d)
-      observe("translator", "device", d, j.translator_by_device[d], 1.0);
+    load("P", "vm", j.p_by_vm);
+    load("R", "vm", j.r_by_vm);
+    load("fifo", "vm", j.fifo_by_vm);
+    load("translator", "device", j.translator_by_device);
   }
   for (const auto& c : result.profile) {
     auto state = [&](const char* s, std::uint64_t slots) {
@@ -209,7 +211,7 @@ void fill_mode_metrics(telemetry::MetricsRegistry& reg,
       .set(static_cast<double>(result.mcs.hi_vms_at_end));
   auto& latency =
       reg.histogram("ioguard_mode_switch_latency_slots", {},
-                    telemetry::HdrHistogram{}.bounds());
+                    HdrHistogram::bounds());
   for (double v : result.mcs.switch_latency_slots.samples())
     latency.observe(v);
 }
@@ -343,7 +345,7 @@ TrialResult run_trial(const TrialConfig& config) {
   // ---- 2b. Observability taps (DESIGN.md §14). ---------------------------
   std::unique_ptr<JitterRecorder> jitter;
   if (config.collect_jitter) {
-    jitter = std::make_unique<JitterRecorder>(num_vms);
+    jitter = std::make_unique<JitterRecorder>(num_vms, cal.cycles_per_slot);
     if (hyp) hyp->set_jitter_recorder(jitter.get());
     for (auto& f : fifos) f.set_jitter_recorder(jitter.get());
   }
@@ -694,19 +696,7 @@ TrialResult run_trial(const TrialConfig& config) {
   }
 
   // ---- 6. Observability harvest (DESIGN.md §14). -------------------------
-  if (jitter) {
-    result.jitter.collected = true;
-    auto harvest = [&](JitterChannel ch, std::vector<SampleSet>& out) {
-      out.reserve(num_vms);
-      for (std::size_t v = 0; v < num_vms; ++v)
-        out.push_back(jitter->samples(ch, v));
-    };
-    harvest(JitterChannel::kPChannel, result.jitter.p_by_vm);
-    harvest(JitterChannel::kRChannel, result.jitter.r_by_vm);
-    harvest(JitterChannel::kFifo, result.jitter.fifo_by_vm);
-    result.jitter.translator_by_device = jitter->translator_by_device();
-    result.jitter.by_task = jitter->by_task();
-  }
+  if (jitter) result.jitter = jitter->harvest();
   if (config.collect_profile) {
     auto add = [&](std::string name, std::uint64_t busy_n,
                    std::uint64_t stall_n, std::uint64_t quiescent_n) {
@@ -813,10 +803,13 @@ void put_samples(
   a.put(", \"max\": ").put_general(s.max(), kDigits).put_char('}');
 }
 
-/// One HDR quantile record inside the "jitter_cycles" block (two-space
-/// extra indent: these keys nest one level deeper than the top level).
+/// One channel's HDR quantile record inside the "jitter_cycles" block, from
+/// the merge of its per-VM (or per-device) histograms (two-space extra
+/// indent: these keys nest one level deeper than the top level).
 void put_hdr(Appender& a, std::string_view key,
-             const telemetry::HdrHistogram& h, bool last = false) {
+             const std::vector<HdrHistogram>& series, bool last = false) {
+  HdrHistogram h;
+  for (const HdrHistogram& s : series) h.merge(s);
   a.put("    \"").put(key).put("\": ");
   if (h.count() == 0) {
     a.put("null");
@@ -908,22 +901,13 @@ void write_trial_summary_json(std::ostream& os, const TrialConfig& config,
   }
 
   // Observability blocks appear only when collected, so plain trials keep
-  // byte-identical summaries. Channel jitter is converted slots -> cycles
-  // here; translator samples are already cycles.
+  // byte-identical summaries.
   if (result.jitter.collected) {
-    const double cps = static_cast<double>(config.cal.cycles_per_slot);
-    auto hdr_of = [](const std::vector<SampleSet>& sets, double scale) {
-      telemetry::HdrHistogram h;
-      for (const auto& s : sets)
-        for (double v : s.samples())
-          h.record(static_cast<std::uint64_t>(v * scale));
-      return h;
-    };
     put_key(a, "jitter_cycles").put("{\n");
-    put_hdr(a, "P", hdr_of(result.jitter.p_by_vm, cps));
-    put_hdr(a, "R", hdr_of(result.jitter.r_by_vm, cps));
-    put_hdr(a, "fifo", hdr_of(result.jitter.fifo_by_vm, cps));
-    put_hdr(a, "translator", hdr_of(result.jitter.translator_by_device, 1.0),
+    put_hdr(a, "P", result.jitter.p_by_vm);
+    put_hdr(a, "R", result.jitter.r_by_vm);
+    put_hdr(a, "fifo", result.jitter.fifo_by_vm);
+    put_hdr(a, "translator", result.jitter.translator_by_device,
             /*last=*/true);
     a.put("  },\n");
     put_key(a, "jitter_by_task").put_char('{');

@@ -123,19 +123,6 @@ struct ModeSwitchCounters {
   SampleSet switch_latency_slots;     ///< first evidence -> switch applied
 };
 
-/// Per-trial jitter harvest (TrialConfig::collect_jitter). Channel samples
-/// are in slots; translator samples are sub-slot, in cycles. Vectors are
-/// indexed by VM / device; SampleSets keep insertion order so checkpointed
-/// and merged results stay bit-identical.
-struct JitterSummary {
-  bool collected = false;
-  std::vector<SampleSet> p_by_vm;
-  std::vector<SampleSet> r_by_vm;
-  std::vector<SampleSet> fifo_by_vm;
-  std::vector<SampleSet> translator_by_device;  ///< cycles
-  std::vector<JitterRecorder::TaskJitter> by_task;
-};
-
 /// One component's slot attribution (TrialConfig::collect_profile); the
 /// three counters sum to the trial horizon for every component.
 struct ComponentProfile {

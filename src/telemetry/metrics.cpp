@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/check.hpp"
 
@@ -80,26 +79,6 @@ std::uint64_t LatencyHistogram::cumulative(std::size_t i) const {
   std::uint64_t acc = 0;
   for (std::size_t k = 0; k <= i; ++k) acc += counts_[k];
   return acc;
-}
-
-double LatencyHistogram::percentile(double p) const {
-  IOGUARD_CHECK(p >= 0.0 && p <= 100.0);
-  if (count_ == 0) return std::numeric_limits<double>::quiet_NaN();
-  const double rank = p / 100.0 * static_cast<double>(count_);
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    acc += counts_[i];
-    if (static_cast<double>(acc) < rank) continue;
-    if (counts_[i] == 0) continue;
-    if (i == bounds_.size()) return bounds_.back();  // +Inf bucket: clamp
-    const double hi = bounds_[i];
-    const double lo = i == 0 ? 0.0 : bounds_[i - 1];
-    const auto below = static_cast<double>(acc - counts_[i]);
-    const double frac =
-        (rank - below) / static_cast<double>(counts_[i]);
-    return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
-  }
-  return bounds_.back();
 }
 
 std::vector<double> default_slot_buckets() {

@@ -84,11 +84,6 @@ class LatencyHistogram {
   /// Cumulative count of observations <= bounds()[i] (Prometheus `le`).
   [[nodiscard]] std::uint64_t cumulative(std::size_t i) const;
 
-  /// Estimated quantile (p in [0,100]) by linear interpolation inside the
-  /// owning bucket; NaN when empty. The +Inf bucket reports the largest
-  /// finite bound (the histogram cannot resolve beyond its range).
-  [[nodiscard]] double percentile(double p) const;
-
  private:
   std::vector<double> bounds_;          // ascending, finite
   std::vector<std::uint64_t> counts_;   // bounds_.size() + 1 (last = +Inf)

@@ -13,11 +13,13 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
 #include "analysis/verify_checkpoint.hpp"
 #include "common/atomic_file.hpp"
+#include "common/bytes.hpp"
 #include "common/checksum.hpp"
 #include "common/interrupt.hpp"
 #include "common/rng.hpp"
@@ -402,6 +404,113 @@ TEST_F(JournalTest, ResumeWithoutManifestIsNotFound) {
   EXPECT_EQ(j.status().code(), StatusCode::kNotFound);
 }
 
+std::string read_bytes(const std::string& file) {
+  std::ifstream in(file, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return std::move(buf).str();
+}
+
+void write_bytes(const std::string& file, const std::string& bytes) {
+  // IOGUARD_LINT_ALLOW(LNT005: deliberately rewritten fixture file)
+  std::ofstream(file, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// Rewrites a journal's manifest as if an older build had written it.
+void mark_manifest_v2(const std::string& journal) {
+  std::string manifest = read_bytes(journal + ".manifest");
+  const std::string v3 = "ioguard-checkpoint-v3";
+  ASSERT_EQ(manifest.rfind(v3, 0), 0u) << manifest;
+  manifest.replace(0, v3.size(), "ioguard-checkpoint-v2");
+  write_bytes(journal + ".manifest", manifest);
+}
+
+TEST_F(JournalTest, RefusesAnOlderFormatByName) {
+  const std::string ck = path("ck.bin");
+  {
+    auto j = CheckpointJournal::open(ck, test_meta(), false);
+    ASSERT_TRUE(j.ok());
+  }
+  mark_manifest_v2(ck);
+  auto j = CheckpointJournal::open(ck, test_meta(), true);
+  ASSERT_FALSE(j.ok());
+  EXPECT_EQ(j.status().code(), StatusCode::kDataLoss);
+  const std::string& message = j.status().message();
+  EXPECT_NE(message.find("format ioguard-checkpoint-v2 found"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("this build reads ioguard-checkpoint-v3"),
+            std::string::npos)
+      << message;
+}
+
+/// Recomputes the CRC of a journal's first frame after its payload changed.
+void reseal_first_frame(std::string& bytes) {
+  ByteReader header(std::string_view(bytes).substr(4, 4));
+  const std::uint32_t len = header.get_u32();
+  ASSERT_GE(bytes.size(), 8u + len + 4u);
+  std::string crc;
+  ByteWriter(&crc).put_u32(crc32(std::string_view(bytes).substr(8, len)));
+  bytes.replace(8 + len, 4, crc);
+}
+
+TEST_F(JournalTest, RejectsHistogramsNoRecorderCanProduce) {
+  // One record whose only jitter is a P-channel histogram holding the value
+  // 5: total 1, sum 5, max 5, none beyond the top, one bucket (5, count 1).
+  TrialResult result;
+  result.jitter.collected = true;
+  result.jitter.p_by_vm.resize(1);
+  result.jitter.p_by_vm[0].record(5);
+  const std::string ck = path("ck.bin");
+  {
+    auto j = CheckpointJournal::open(ck, test_meta(), false);
+    ASSERT_TRUE(j.ok());
+    ASSERT_TRUE((*j)->append(1, 0, false, result, nullptr).ok());
+  }
+  const std::string good = read_bytes(ck);
+  std::string block;
+  ByteWriter w(&block);
+  for (const std::uint64_t v : {1u, 5u, 5u, 0u}) w.put_u64(v);
+  w.put_u8(1);
+  w.put_u8(5);
+  w.put_u64(1);
+  const std::size_t at = good.find(block);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(good.find(block, at + 1), std::string::npos);
+  const std::size_t index_at = at + 33;  // after four u64s and the pair count
+
+  const auto resume = [&](const std::string& bytes) {
+    write_bytes(ck, bytes);
+    return CheckpointJournal::open(ck, test_meta(), true);
+  };
+  {
+    std::string same = good;
+    reseal_first_frame(same);
+    auto j = resume(same);
+    ASSERT_TRUE(j.ok()) << j.status();
+    const CheckpointRecord* rec = (*j)->find(1, 0);
+    ASSERT_NE(rec, nullptr);
+    ASSERT_EQ(rec->result.jitter.p_by_vm.size(), 1u);
+    EXPECT_TRUE(rec->result.jitter.p_by_vm[0] == result.jitter.p_by_vm[0]);
+  }
+  for (const std::uint8_t index : {184, 255}) {
+    std::string bytes = good;
+    bytes[index_at] = static_cast<char>(index);
+    reseal_first_frame(bytes);
+    auto j = resume(bytes);
+    ASSERT_FALSE(j.ok()) << "bucket index " << int{index};
+    EXPECT_EQ(j.status().code(), StatusCode::kDataLoss);
+  }
+  {
+    std::string bytes = good;
+    bytes[index_at + 1] = 2;  // bucket count 2 against a total of 1
+    reseal_first_frame(bytes);
+    auto j = resume(bytes);
+    ASSERT_FALSE(j.ok());
+    EXPECT_EQ(j.status().code(), StatusCode::kDataLoss);
+  }
+}
+
 // ---- point keys and fingerprints -------------------------------------------
 
 TEST(CheckpointKeys, DistinguishWhatSweepPointKeyCannot) {
@@ -737,6 +846,38 @@ TEST_F(VerifyCheckpointTest, MissingManifestIsCkp001) {
   analysis::verify_checkpoint(inspect_checkpoint(ck), 0, report);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has(analysis::DiagCode::kCkpStaleManifest));
+}
+
+TEST_F(VerifyCheckpointTest, OlderFormatIsCkp001NamingBothFormats) {
+  const std::string ck = path("ck.bin");
+  {
+    auto j = CheckpointJournal::open(ck, test_meta(), false);
+    ASSERT_TRUE(j.ok());
+  }
+  // A CRC-valid frame whose payload this build cannot decode, as an older
+  // format's record: corrupt under this build's manifest, but not reported
+  // as such under the older one, whose records are not decoded at all.
+  const std::string payload = "a record laid out by an older format";
+  std::string frame;
+  ByteWriter w(&frame);
+  w.put_u32(0x314B5043u);  // "CPK1"
+  w.put_u32(static_cast<std::uint32_t>(payload.size()));
+  frame += payload;
+  w.put_u32(crc32(payload));
+  write_bytes(ck, frame);
+  ASSERT_TRUE(inspect_checkpoint(ck).corrupt);
+  mark_manifest_v2(ck);
+  analysis::Report report;
+  analysis::verify_checkpoint(inspect_checkpoint(ck), test_meta().fingerprint,
+                              report);
+  EXPECT_FALSE(report.ok());
+  ASSERT_EQ(report.diagnostics().size(), 1u);
+  const analysis::Diagnostic& d = report.diagnostics()[0];
+  EXPECT_EQ(d.code, analysis::DiagCode::kCkpStaleManifest);
+  EXPECT_NE(d.message.find("format ioguard-checkpoint-v2 found, this build "
+                           "reads ioguard-checkpoint-v3"),
+            std::string::npos)
+      << d.message;
 }
 
 TEST_F(VerifyCheckpointTest, FingerprintMismatchIsCkp002) {

@@ -9,12 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "common/hdr_histogram.hpp"
 #include "common/jitter.hpp"
 #include "core/event_trace.hpp"
 #include "system/checkpoint.hpp"
 #include "system/runner.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/hdr_histogram.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace ioguard {
@@ -25,82 +25,89 @@ namespace fs = std::filesystem;
 // ---- HDR log-linear histogram ----------------------------------------------
 
 TEST(HdrHistogram, SmallValuesAreExact) {
-  telemetry::HdrHistogram h;  // sub_bucket_bits=4: values < 16 are exact
+  HdrHistogram h;  // 4 sub-bucket bits: values < 16 are exact
   for (std::uint64_t v = 0; v < 16; ++v) h.record(v);
   EXPECT_EQ(h.count(), 16u);
   EXPECT_EQ(h.sum(), 0u + 1 + 2 + 3 + 4 + 5 + 6 + 7 + 8 + 9 + 10 + 11 + 12 +
                          13 + 14 + 15);
-  EXPECT_EQ(h.min(), 0u);
   EXPECT_EQ(h.max(), 15u);
   for (std::uint64_t v = 0; v < 16; ++v) {
-    const std::size_t i = h.index_of(v);
-    EXPECT_EQ(h.bucket_lower(i), v) << "value " << v;
-    EXPECT_EQ(h.bucket_upper(i), v) << "value " << v;
+    const std::size_t i = HdrHistogram::index_of(v);
+    EXPECT_EQ(HdrHistogram::bucket_lower(i), v) << "value " << v;
+    EXPECT_EQ(HdrHistogram::bucket_upper(i), v) << "value " << v;
     EXPECT_EQ(h.count_at(i), 1u) << "value " << v;
   }
 }
 
 TEST(HdrHistogram, EmptyHistogramReportsZeros) {
-  telemetry::HdrHistogram h;
+  const HdrHistogram h;
   EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.min(), 0u);
   EXPECT_EQ(h.max(), 0u);
   EXPECT_EQ(h.value_at_percentile(50.0), 0u);
   EXPECT_EQ(h.value_at_percentile(100.0), 0u);
 }
 
 TEST(HdrHistogram, BucketBoundsPartitionTheRange) {
-  const telemetry::HdrHistogram h;
-  // Buckets tile [0, max_trackable] with no gaps and no overlaps.
-  EXPECT_EQ(h.bucket_lower(0), 0u);
-  for (std::size_t i = 1; i < h.bucket_count(); ++i)
-    EXPECT_EQ(h.bucket_lower(i), h.bucket_upper(i - 1) + 1) << "bucket " << i;
+  // Buckets tile [0, kTopValue] with no gaps and no overlaps.
+  EXPECT_EQ(HdrHistogram::bucket_lower(0), 0u);
+  for (std::size_t i = 1; i < HdrHistogram::kBucketCount; ++i)
+    EXPECT_EQ(HdrHistogram::bucket_lower(i),
+              HdrHistogram::bucket_upper(i - 1) + 1)
+        << "bucket " << i;
+  EXPECT_EQ(HdrHistogram::bucket_upper(HdrHistogram::kBucketCount - 1),
+            HdrHistogram::kTopValue);
   // index_of is the inverse of the bounds at both edges of every bucket.
-  for (std::size_t i = 0; i < h.bucket_count(); ++i) {
-    EXPECT_EQ(h.index_of(h.bucket_lower(i)), i);
-    EXPECT_EQ(h.index_of(h.bucket_upper(i)), i);
+  for (std::size_t i = 0; i < HdrHistogram::kBucketCount; ++i) {
+    EXPECT_EQ(HdrHistogram::index_of(HdrHistogram::bucket_lower(i)), i);
+    EXPECT_EQ(HdrHistogram::index_of(HdrHistogram::bucket_upper(i)), i);
   }
 }
 
 TEST(HdrHistogram, RelativeQuantizationErrorIsBounded) {
   // 2^4 sub-buckets: a value lands in [8w, 16w) for its bucket width w, so
   // the recorded-to-reported error is bounded by w <= v/8.
-  telemetry::HdrHistogram h;
   for (std::uint64_t v : {17u, 100u, 999u, 12345u, 1000000u}) {
-    const std::size_t i = h.index_of(v);
-    const std::uint64_t reported = h.bucket_upper(i);
+    const std::uint64_t reported =
+        HdrHistogram::bucket_upper(HdrHistogram::index_of(v));
     ASSERT_GE(reported, v);
     EXPECT_LE(reported - v, v / 8 + 1) << "value " << v;
   }
 }
 
 TEST(HdrHistogram, SaturatesAboveMaxValue) {
-  telemetry::HdrConfig cfg;
-  cfg.max_value = 1000;
-  telemetry::HdrHistogram h(cfg);
+  HdrHistogram h;
   h.record(999);
-  h.record(50000);  // saturates
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.saturated(), 1u);
-  // The clamp is what sum()/max() see, so merged replicas agree exactly.
-  EXPECT_LE(h.max(), h.bucket_upper(h.bucket_count() - 1));
+  h.record(HdrHistogram::kTopValue);
+  h.record(HdrHistogram::kTopValue + 1);  // beyond the top bucket
+  h.record(50000000);                     // beyond the top bucket
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_EQ(h.beyond_top(), 2u);
+  EXPECT_EQ(h.count_at(HdrHistogram::kBucketCount - 1), 1u);
+  // The sum stays exact; max and the quantiles clamp to the top bound.
+  EXPECT_EQ(h.sum(), 999u + 2 * HdrHistogram::kTopValue + 1 + 50000000);
+  EXPECT_EQ(h.max(), HdrHistogram::kTopValue);
+  EXPECT_EQ(h.value_at_percentile(50.0), HdrHistogram::kTopValue);
+  EXPECT_EQ(h.value_at_percentile(100.0), HdrHistogram::kTopValue);
+  EXPECT_EQ(h.value_at_percentile(25.0),
+            HdrHistogram::bucket_upper(HdrHistogram::index_of(999)));
 }
 
 TEST(HdrHistogram, MergeIsOrderIndependent) {
-  const std::vector<std::uint64_t> samples = {0,  3,   17,  250, 251, 4096,
-                                              99, 100, 101, 7,   1 << 20};
-  telemetry::HdrHistogram all;
+  const std::vector<std::uint64_t> samples = {
+      0, 3, 17, 250, 251, 4096, 99, 100, 101, 7, 1 << 20,
+      HdrHistogram::kTopValue + 5};
+  HdrHistogram all;
   for (auto v : samples) all.record(v);
 
   // Split across three shards two different ways; merge in opposite orders.
-  telemetry::HdrHistogram a, b, c;
+  HdrHistogram a, b, c;
   for (std::size_t i = 0; i < samples.size(); ++i)
     (i % 3 == 0 ? a : i % 3 == 1 ? b : c).record(samples[i]);
-  telemetry::HdrHistogram forward;
+  HdrHistogram forward;
   forward.merge(a);
   forward.merge(b);
   forward.merge(c);
-  telemetry::HdrHistogram backward;
+  HdrHistogram backward;
   backward.merge(c);
   backward.merge(b);
   backward.merge(a);
@@ -108,15 +115,24 @@ TEST(HdrHistogram, MergeIsOrderIndependent) {
   for (const auto* m : {&forward, &backward}) {
     EXPECT_EQ(m->count(), all.count());
     EXPECT_EQ(m->sum(), all.sum());
-    EXPECT_EQ(m->min(), all.min());
     EXPECT_EQ(m->max(), all.max());
-    for (std::size_t i = 0; i < all.bucket_count(); ++i)
+    EXPECT_EQ(m->beyond_top(), all.beyond_top());
+    for (std::size_t i = 0; i < HdrHistogram::kBucketCount; ++i)
       EXPECT_EQ(m->count_at(i), all.count_at(i)) << "bucket " << i;
+    EXPECT_TRUE(*m == all);
   }
 }
 
+TEST(HdrHistogram, RawRoundTripRecomputesTheCount) {
+  HdrHistogram h;
+  for (std::uint64_t v : {0u, 5u, 5u, 700u, 40000000u}) h.record(v);
+  const HdrHistogram restored = HdrHistogram::from_raw(h.raw());
+  EXPECT_TRUE(restored == h);
+  EXPECT_EQ(restored.count(), 5u);
+}
+
 TEST(HdrHistogram, QuantilesLandInTheRightBuckets) {
-  telemetry::HdrHistogram h;
+  HdrHistogram h;
   for (std::uint64_t v = 1; v <= 1000; ++v) h.record(v);  // uniform 1..1000
   // Reported quantile is the upper bound of the owning bucket: never below
   // the true quantile, within the 1/8 relative error above it.
@@ -126,65 +142,77 @@ TEST(HdrHistogram, QuantilesLandInTheRightBuckets) {
     EXPECT_GE(got, truth) << "p" << p;
     EXPECT_LE(got, truth + truth / 8 + 1) << "p" << p;
   }
-  EXPECT_EQ(h.value_at_percentile(0.0), h.bucket_upper(h.index_of(1)));
-  EXPECT_EQ(h.value_at_percentile(100.0), h.bucket_upper(h.index_of(1000)));
+  EXPECT_EQ(h.value_at_percentile(0.0),
+            HdrHistogram::bucket_upper(HdrHistogram::index_of(1)));
+  EXPECT_EQ(h.value_at_percentile(100.0),
+            HdrHistogram::bucket_upper(HdrHistogram::index_of(1000)));
 }
 
 TEST(HdrHistogram, BoundsMatchLatencyHistogramBucketing) {
-  // The Prometheus bridge hands bounds() to MetricsRegistry::histogram();
-  // both sides must land every integer sample in the same bucket.
-  telemetry::HdrHistogram hdr;
-  telemetry::LatencyHistogram lat(hdr.bounds());
-  const std::vector<std::uint64_t> samples = {0,   1,    15,  16,  17,
-                                              255, 4095, 4096, 1u << 20};
+  // The Prometheus bridge loads an HdrHistogram's buckets into a
+  // LatencyHistogram over bounds(), with beyond_top() as its +Inf bucket:
+  // a LatencyHistogram observing the same integer samples must agree.
+  HdrHistogram hdr;
+  telemetry::LatencyHistogram lat(HdrHistogram::bounds());
+  const std::vector<std::uint64_t> samples = {
+      0, 1, 15, 16, 17, 255, 4095, 4096, 1u << 20, HdrHistogram::kTopValue,
+      HdrHistogram::kTopValue + 1};
   for (auto v : samples) {
     hdr.record(v);
     lat.observe(static_cast<double>(v));
   }
-  ASSERT_EQ(lat.bounds().size(), hdr.bucket_count());
+  ASSERT_EQ(lat.bounds().size(), HdrHistogram::kBucketCount);
   std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < hdr.bucket_count(); ++i) {
+  for (std::size_t i = 0; i < HdrHistogram::kBucketCount; ++i) {
     cumulative += hdr.count_at(i);
     EXPECT_EQ(lat.cumulative(i), cumulative) << "bucket " << i;
   }
+  EXPECT_EQ(lat.counts().back(), hdr.beyond_top());
   EXPECT_EQ(lat.count(), hdr.count());
+  EXPECT_EQ(lat.sum(), static_cast<double>(hdr.sum()));
 }
 
 // ---- jitter recorder -------------------------------------------------------
 
 TEST(JitterRecorder, RoutesSamplesByChannelAndVm) {
-  JitterRecorder rec(2);
+  JitterRecorder rec(2, /*cycles_per_slot=*/1000);
   rec.record(JitterChannel::kPChannel, VmId{0}, TaskId{7}, 100, 100);
   rec.record(JitterChannel::kRChannel, VmId{1}, TaskId{9}, 100, 104);
   rec.record(JitterChannel::kRChannel, VmId{1}, TaskId{9}, 200, 212);
   rec.record(JitterChannel::kFifo, VmId{0}, TaskId{3}, 50, 55);
+  const JitterSummary j = rec.harvest();
 
-  EXPECT_EQ(rec.samples(JitterChannel::kPChannel, 0).count(), 1u);
-  EXPECT_EQ(rec.samples(JitterChannel::kPChannel, 0).max(), 0.0);
-  EXPECT_EQ(rec.samples(JitterChannel::kRChannel, 1).count(), 2u);
-  EXPECT_EQ(rec.samples(JitterChannel::kRChannel, 1).max(), 12.0);
-  EXPECT_EQ(rec.samples(JitterChannel::kRChannel, 0).count(), 0u);
-  EXPECT_EQ(rec.samples(JitterChannel::kFifo, 0).max(), 5.0);
+  EXPECT_TRUE(j.collected);
+  ASSERT_EQ(j.p_by_vm.size(), 2u);
+  ASSERT_EQ(j.r_by_vm.size(), 2u);
+  ASSERT_EQ(j.fifo_by_vm.size(), 2u);
+  EXPECT_EQ(j.p_by_vm[0].count(), 1u);
+  EXPECT_EQ(j.p_by_vm[0].max(), 0u);
+  EXPECT_EQ(j.r_by_vm[1].count(), 2u);
+  EXPECT_EQ(j.r_by_vm[1].sum(), 16000u);
+  EXPECT_EQ(j.r_by_vm[1].max(), 12000u);
+  EXPECT_EQ(j.r_by_vm[0].count(), 0u);
+  EXPECT_EQ(j.fifo_by_vm[0].max(), 5000u);
+  EXPECT_TRUE(j.translator_by_device.empty());
 
-  const auto tasks = rec.by_task();
-  ASSERT_EQ(tasks.size(), 3u);  // ascending by task id
-  EXPECT_EQ(tasks[0].task, 3u);
-  EXPECT_EQ(tasks[1].task, 7u);
-  EXPECT_EQ(tasks[2].task, 9u);
-  EXPECT_EQ(tasks[2].ops, 2u);
-  EXPECT_EQ(tasks[2].worst_slots, 12u);
+  ASSERT_EQ(j.by_task.size(), 3u);  // ascending by task id, in slots
+  EXPECT_EQ(j.by_task[0].task, 3u);
+  EXPECT_EQ(j.by_task[1].task, 7u);
+  EXPECT_EQ(j.by_task[2].task, 9u);
+  EXPECT_EQ(j.by_task[2].ops, 2u);
+  EXPECT_EQ(j.by_task[2].worst_slots, 12u);
 }
 
 TEST(JitterRecorder, TranslatorSamplesGrowPerDevice) {
-  JitterRecorder rec(1);
+  JitterRecorder rec(1, /*cycles_per_slot=*/1000);
   rec.record_translator(DeviceId{2}, 17);
   rec.record_translator(DeviceId{0}, 3);
-  const auto& t = rec.translator_by_device();
+  const auto t = rec.harvest().translator_by_device;
   ASSERT_EQ(t.size(), 3u);
   EXPECT_EQ(t[0].count(), 1u);
-  EXPECT_EQ(t[0].max(), 3.0);
+  EXPECT_EQ(t[0].max(), 3u);  // cycles, not scaled
   EXPECT_EQ(t[1].count(), 0u);
-  EXPECT_EQ(t[2].max(), 17.0);
+  EXPECT_EQ(t[2].max(), 17u);
 }
 
 // ---- flight recorder -------------------------------------------------------
@@ -373,14 +401,14 @@ TEST(ObservabilityTrial, UnloadedPchannelHasZeroJitter) {
   const auto result = sys::run_trial(observed_trial(7, /*util=*/0.4));
   ASSERT_TRUE(result.jitter.collected);
   std::uint64_t p_samples = 0;
-  for (const auto& set : result.jitter.p_by_vm) {
-    p_samples += set.count();
-    EXPECT_EQ(set.max(), 0.0);
+  for (const auto& h : result.jitter.p_by_vm) {
+    p_samples += h.count();
+    EXPECT_EQ(h.max(), 0u);
   }
   EXPECT_GT(p_samples, 0u);
   // The R-channel, by contrast, folds in queueing: some deviation exists.
   std::uint64_t r_samples = 0;
-  for (const auto& set : result.jitter.r_by_vm) r_samples += set.count();
+  for (const auto& h : result.jitter.r_by_vm) r_samples += h.count();
   EXPECT_GT(r_samples, 0u);
 }
 
@@ -433,58 +461,76 @@ TEST_F(FlightTest, TrialWritesBoundedDumpsUnderFaultLoad) {
   EXPECT_EQ(files, result.flight_dumps);
 }
 
+void expect_same_series(const std::vector<HdrHistogram>& restored,
+                        const std::vector<HdrHistogram>& original,
+                        const char* channel) {
+  ASSERT_EQ(restored.size(), original.size()) << channel;
+  for (std::size_t i = 0; i < original.size(); ++i)
+    EXPECT_TRUE(restored[i] == original[i]) << channel << " series " << i;
+}
+
 TEST_F(FlightTest, CheckpointRoundTripsObservabilityFields) {
-  auto tc = observed_trial(5, /*util=*/0.8);
-  const auto original = sys::run_trial(tc);
-  ASSERT_TRUE(original.jitter.collected);
-  ASSERT_FALSE(original.profile.empty());
+  auto ioguard = observed_trial(5, /*util=*/0.8);
+  auto legacy = ioguard;
+  legacy.kind = sys::SystemKind::kLegacy;
+  legacy.workload.preload_fraction = 0.0;
+  for (const sys::TrialConfig& tc : {ioguard, legacy}) {
+    SCOPED_TRACE(sys::to_string(tc.kind));
+    const auto original = sys::run_trial(tc);
+    ASSERT_TRUE(original.jitter.collected);
+    ASSERT_FALSE(original.profile.empty());
 
-  sys::CheckpointMeta meta;
-  meta.config_echo = "observability-roundtrip";
-  meta.fingerprint = 99;
-  const std::string ck = path("ck.bin");
-  {
-    auto journal = sys::CheckpointJournal::open(ck, meta, /*resume=*/false);
+    sys::CheckpointMeta meta;
+    meta.config_echo = "observability-roundtrip";
+    meta.fingerprint = 99;
+    const std::string ck = path("ck.bin");
+    {
+      auto journal = sys::CheckpointJournal::open(ck, meta, /*resume=*/false);
+      ASSERT_TRUE(journal.ok()) << journal.status();
+      ASSERT_TRUE((*journal)->append(1, 0, false, original, nullptr).ok());
+    }
+    auto journal = sys::CheckpointJournal::open(ck, meta, /*resume=*/true);
     ASSERT_TRUE(journal.ok()) << journal.status();
-    ASSERT_TRUE((*journal)->append(1, 0, false, original, nullptr).ok());
-  }
-  auto journal = sys::CheckpointJournal::open(ck, meta, /*resume=*/true);
-  ASSERT_TRUE(journal.ok()) << journal.status();
-  const sys::CheckpointRecord* rec = (*journal)->find(1, 0);
-  ASSERT_NE(rec, nullptr);
-  const sys::TrialResult& restored = rec->result;
+    const sys::CheckpointRecord* rec = (*journal)->find(1, 0);
+    ASSERT_NE(rec, nullptr);
+    const sys::TrialResult& restored = rec->result;
 
-  ASSERT_TRUE(restored.jitter.collected);
-  ASSERT_EQ(restored.jitter.p_by_vm.size(), original.jitter.p_by_vm.size());
-  for (std::size_t v = 0; v < original.jitter.p_by_vm.size(); ++v) {
-    EXPECT_EQ(restored.jitter.p_by_vm[v].samples(),
-              original.jitter.p_by_vm[v].samples());
-    EXPECT_EQ(restored.jitter.r_by_vm[v].samples(),
-              original.jitter.r_by_vm[v].samples());
+    ASSERT_TRUE(restored.jitter.collected);
+    // Every series of every channel; the one with samples differs by
+    // system (the R-channel on I/O-GUARD, the FIFO on the baseline).
+    const auto& fifo = original.jitter.fifo_by_vm;
+    const auto& r = original.jitter.r_by_vm;
+    const auto samples = [](const std::vector<HdrHistogram>& series) {
+      std::uint64_t n = 0;
+      for (const HdrHistogram& h : series) n += h.count();
+      return n;
+    };
+    EXPECT_GT(samples(tc.kind == sys::SystemKind::kIoGuard ? r : fifo), 0u);
+    expect_same_series(restored.jitter.p_by_vm, original.jitter.p_by_vm, "P");
+    expect_same_series(restored.jitter.r_by_vm, r, "R");
+    expect_same_series(restored.jitter.fifo_by_vm, fifo, "fifo");
+    expect_same_series(restored.jitter.translator_by_device,
+                       original.jitter.translator_by_device, "translator");
+    ASSERT_EQ(restored.jitter.by_task.size(), original.jitter.by_task.size());
+    for (std::size_t i = 0; i < original.jitter.by_task.size(); ++i) {
+      EXPECT_EQ(restored.jitter.by_task[i].task,
+                original.jitter.by_task[i].task);
+      EXPECT_EQ(restored.jitter.by_task[i].ops, original.jitter.by_task[i].ops);
+      EXPECT_EQ(restored.jitter.by_task[i].worst_slots,
+                original.jitter.by_task[i].worst_slots);
+    }
+    ASSERT_EQ(restored.profile.size(), original.profile.size());
+    for (std::size_t i = 0; i < original.profile.size(); ++i) {
+      EXPECT_EQ(restored.profile[i].name, original.profile[i].name);
+      EXPECT_EQ(restored.profile[i].busy_slots,
+                original.profile[i].busy_slots);
+      EXPECT_EQ(restored.profile[i].stall_slots,
+                original.profile[i].stall_slots);
+      EXPECT_EQ(restored.profile[i].quiescent_slots,
+                original.profile[i].quiescent_slots);
+    }
+    EXPECT_EQ(restored.flight_dumps, original.flight_dumps);
   }
-  ASSERT_EQ(restored.jitter.translator_by_device.size(),
-            original.jitter.translator_by_device.size());
-  for (std::size_t d = 0; d < original.jitter.translator_by_device.size();
-       ++d)
-    EXPECT_EQ(restored.jitter.translator_by_device[d].samples(),
-              original.jitter.translator_by_device[d].samples());
-  ASSERT_EQ(restored.jitter.by_task.size(), original.jitter.by_task.size());
-  for (std::size_t i = 0; i < original.jitter.by_task.size(); ++i) {
-    EXPECT_EQ(restored.jitter.by_task[i].task, original.jitter.by_task[i].task);
-    EXPECT_EQ(restored.jitter.by_task[i].ops, original.jitter.by_task[i].ops);
-    EXPECT_EQ(restored.jitter.by_task[i].worst_slots,
-              original.jitter.by_task[i].worst_slots);
-  }
-  ASSERT_EQ(restored.profile.size(), original.profile.size());
-  for (std::size_t i = 0; i < original.profile.size(); ++i) {
-    EXPECT_EQ(restored.profile[i].name, original.profile[i].name);
-    EXPECT_EQ(restored.profile[i].busy_slots, original.profile[i].busy_slots);
-    EXPECT_EQ(restored.profile[i].stall_slots,
-              original.profile[i].stall_slots);
-    EXPECT_EQ(restored.profile[i].quiescent_slots,
-              original.profile[i].quiescent_slots);
-  }
-  EXPECT_EQ(restored.flight_dumps, original.flight_dumps);
 }
 
 }  // namespace

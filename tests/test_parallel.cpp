@@ -121,13 +121,11 @@ TEST(ParallelRunner, ObservabilitySeriesIdenticalAcrossJobCounts) {
   for (std::size_t t = 0; t < seq.size(); ++t) {
     SCOPED_TRACE("trial " + std::to_string(t));
     ASSERT_TRUE(seq[t].jitter.collected);
-    ASSERT_EQ(seq[t].jitter.r_by_vm.size(), par[t].jitter.r_by_vm.size());
-    for (std::size_t v = 0; v < seq[t].jitter.r_by_vm.size(); ++v) {
-      EXPECT_EQ(seq[t].jitter.p_by_vm[v].samples(),
-                par[t].jitter.p_by_vm[v].samples());
-      EXPECT_EQ(seq[t].jitter.r_by_vm[v].samples(),
-                par[t].jitter.r_by_vm[v].samples());
-    }
+    EXPECT_TRUE(seq[t].jitter.p_by_vm == par[t].jitter.p_by_vm);
+    EXPECT_TRUE(seq[t].jitter.r_by_vm == par[t].jitter.r_by_vm);
+    EXPECT_TRUE(seq[t].jitter.fifo_by_vm == par[t].jitter.fifo_by_vm);
+    EXPECT_TRUE(seq[t].jitter.translator_by_device ==
+                par[t].jitter.translator_by_device);
     ASSERT_EQ(seq[t].profile.size(), par[t].profile.size());
     for (std::size_t i = 0; i < seq[t].profile.size(); ++i) {
       EXPECT_EQ(seq[t].profile[i].name, par[t].profile[i].name);
