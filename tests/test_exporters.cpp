@@ -163,6 +163,29 @@ TEST(ExporterGolden, JitterBeyondTheTopBucket) {
   expect_matches_golden("jitter_beyond_top_bucket_golden.txt", text);
 }
 
+TEST(ExporterGolden, BaselineFaultedTrialSummaryAndMetrics) {
+  // A BS|BV trial under the mixed plan with jitter and the profile on: the
+  // FIFO bank's fault counts and fifo{d} profile rows in the summary, then
+  // its ioguard_fifo_* series and "fifo" jitter histograms in Prometheus.
+  telemetry::MetricsRegistry registry;
+  sys::TrialConfig tc = short_trial(sys::SystemKind::kBlueVisor);
+  tc.faults = plan("mixed");
+  tc.collect_jitter = true;
+  tc.collect_profile = true;
+  tc.metrics = &registry;
+  const sys::TrialResult result = sys::run_trial(tc);
+  EXPECT_GT(result.faults.fifo_stalled_slots, 0u);
+  EXPECT_GT(result.faults.fifo_frames_lost, 0u);
+  EXPECT_GT(result.faults.transit_drops, 0u);
+  std::ostringstream os;
+  sys::write_trial_summary_json(os, tc, result);
+  telemetry::write_prometheus(os, registry);
+  const std::string text = os.str();
+  EXPECT_TRUE(contains(text, "\"fifo0\": {\"busy\": "));
+  EXPECT_TRUE(contains(text, "ioguard_fifo_jobs_completed_total{device=\"0\"}"));
+  expect_matches_golden("baseline_faulted_golden.txt", text);
+}
+
 TEST(ExporterGolden, SummaryFlightRecorder) {
   const TempDir dir;
   sys::TrialConfig tc = short_trial(sys::SystemKind::kIoGuard);
