@@ -18,11 +18,9 @@ void verify_checkpoint(const sys::CheckpointFacts& facts,
                "manifest exists but does not parse: " + facts.manifest_error,
                "manifest");
   }
-  if (facts.corrupt) {
+  if (!facts.corruption.empty()) {
     report.add(DiagCode::kCkpStaleManifest,
-               "journal fails its record checksum inside the retained "
-               "prefix; this is corruption, not a crash tail, and the "
-               "checkpoint must not be resumed",
+               facts.corruption + "; the checkpoint must not be resumed",
                "journal");
   } else if (facts.truncated_tail) {
     report.add(DiagCode::kCkpStaleManifest, Severity::kInfo,

@@ -12,8 +12,10 @@
 //                    checkpoint (a writer crashed mid-publish);
 //   CKP004 (warning) abandoned trials in the journal: the resumed sweep's
 //                    aggregates will exclude them.
-// A corrupt journal (CRC failure) or truncated tail is reported under
-// CKP001 as well: both make the manifest's promise about the journal stale.
+// A corrupt journal (bad frame magic, CRC failure, or a CRC-valid record
+// that does not decode, each named in the message) or a truncated tail is
+// reported under CKP001 as well: both make the manifest's promise about the
+// journal stale.
 #pragma once
 
 #include <cstdint>

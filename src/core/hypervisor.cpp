@@ -330,58 +330,9 @@ std::uint64_t Hypervisor::dropped_jobs() const {
   return total;
 }
 
-std::uint64_t Hypervisor::watchdog_aborts() const {
-  std::uint64_t total = 0;
-  for (const auto& m : managers_) total += m->watchdog_aborts();
-  return total;
-}
-
-std::uint64_t Hypervisor::retries_scheduled() const {
-  std::uint64_t total = 0;
-  for (const auto& m : managers_) total += m->retries_scheduled();
-  return total;
-}
-
-std::uint64_t Hypervisor::retries_exhausted() const {
-  std::uint64_t total = 0;
-  for (const auto& m : managers_) total += m->retries_exhausted();
-  return total;
-}
-
-std::uint32_t Hypervisor::max_retry_attempt() const {
-  std::uint32_t worst = 0;
-  for (const auto& m : managers_)
-    worst = std::max(worst, m->max_retry_attempt());
-  return worst;
-}
-
-std::uint64_t Hypervisor::jobs_shed() const {
-  std::uint64_t total = 0;
-  for (const auto& m : managers_) total += m->jobs_shed();
-  return total;
-}
-
-std::uint64_t Hypervisor::frame_faults() const {
-  std::uint64_t total = 0;
-  for (const auto& m : managers_) total += m->frame_faults();
-  return total;
-}
-
-std::uint64_t Hypervisor::stalled_slots() const {
-  std::uint64_t total = 0;
-  for (const auto& m : managers_) total += m->stalled_slots();
-  return total;
-}
-
-std::uint64_t Hypervisor::spurious_irq_slots() const {
-  std::uint64_t total = 0;
-  for (const auto& m : managers_) total += m->spurious_irq_slots();
-  return total;
-}
-
-std::size_t Hypervisor::degraded_vms() const {
-  std::size_t total = 0;
-  for (const auto& m : managers_) total += m->degraded_vms();
+faults::FaultCounters Hypervisor::fault_counters() const {
+  faults::FaultCounters total;
+  for (const auto& m : managers_) total += m->fault_counters();
   return total;
 }
 

@@ -127,25 +127,13 @@ class Hypervisor {
 
   [[nodiscard]] std::uint64_t dropped_jobs() const;
 
-  // ---- Aggregate fault/resilience counters across all device managers ----
-  [[nodiscard]] std::uint64_t watchdog_aborts() const;
-  [[nodiscard]] std::uint64_t retries_scheduled() const;
-  [[nodiscard]] std::uint64_t retries_exhausted() const;
-  [[nodiscard]] std::uint32_t max_retry_attempt() const;
-  [[nodiscard]] std::uint64_t jobs_shed() const;
-  [[nodiscard]] std::uint64_t frame_faults() const;
-  [[nodiscard]] std::uint64_t stalled_slots() const;
-  [[nodiscard]] std::uint64_t spurious_irq_slots() const;
-  [[nodiscard]] std::size_t degraded_vms() const;
+  /// Every device manager's fault/resilience counters, summed.
+  [[nodiscard]] faults::FaultCounters fault_counters() const;
 
   // ---- Mixed-criticality mode switching (DESIGN.md §17) ------------------
   /// The block's mode controller; nullptr when mode switching is disabled.
   [[nodiscard]] const ModeController* mode_controller() const {
     return mode_.get();
-  }
-  /// Is this task HI-criticality? (Dense bitmap probe, like pchannel_task.)
-  [[nodiscard]] bool hi_criticality_task(TaskId task) const {
-    return task.value < hi_tasks_.size() && hi_tasks_[task.value] != 0;
   }
   /// LO submissions rejected while their VM was HI, across all devices.
   [[nodiscard]] std::uint64_t lo_mode_rejected() const;
@@ -166,17 +154,6 @@ class Hypervisor {
   /// counts plus per-device retry-queue depth, in device-then-VM order so
   /// dumps are deterministic.
   void dump_scheduler_state(std::ostream& os) const;
-
-  /// Pre-defined tasks demoted to the R-channel because their Time Slot
-  /// Table placement failed (in demotion order).
-  struct Demotion {
-    DeviceId device;
-    VmId vm;
-    TaskId task;
-  };
-  [[nodiscard]] const std::vector<Demotion>& demotions() const {
-    return demotions_;
-  }
 
   /// Is this task executed by a P-channel (it was pre-defined AND its table
   /// placement succeeded)? Pre-defined tasks that could not be placed are
@@ -206,6 +183,13 @@ class Hypervisor {
   std::vector<Slot> wake_;
   bool skip_idle_ = false;
   std::vector<std::uint8_t> pchannel_tasks_;  ///< bitmap over TaskId.value
+  /// Pre-defined tasks demoted to the R-channel because their Time Slot
+  /// Table placement failed (in demotion order), replayed into a tracer.
+  struct Demotion {
+    DeviceId device;
+    VmId vm;
+    TaskId task;
+  };
   std::vector<Demotion> demotions_;
 };
 

@@ -90,7 +90,6 @@ bool VirtManager::submit(const workload::Job& job, Slot now) {
   if (vm_degraded_[job.vm.value] != 0) {
     // Graceful degradation: the driver rejects the request outright instead
     // of letting a faulting VM churn the R-channel.
-    ++degraded_rejected_;
     trace(now, TraceEventKind::kDrop, job.vm, job.task, job.id);
     return false;
   }
@@ -141,7 +140,7 @@ void VirtManager::begin_tick_faults(Slot now) {
   if (stall_remaining_ > 0) {
     --stall_remaining_;
     stalled_now_ = true;
-    ++stalled_slots_;
+    ++faults_.stalled_slots;
     if (active_valid_) {
       // Watchdog: an R-channel op is wedged on the stalled device. Abort it
       // within the configured budget so its slot reservation cannot leak.
@@ -160,7 +159,7 @@ void VirtManager::abort_active(Slot now) {
   shadow_dirty_[active_vm_] = 1;
   trace(now, TraceEventKind::kWatchdogAbort, p.vm, p.task, p.job,
         clamp_aux(stall_watch_));
-  ++watchdog_aborts_;
+  ++faults_.watchdog_aborts;
   active_valid_ = false;
   stall_watch_ = 0;
   stall_remaining_ = 0;  // the abort resets the device
@@ -173,7 +172,7 @@ void VirtManager::schedule_retry(const ParamSlot& params, Slot now) {
   if (vm_degraded_[params.vm.value] != 0) return;
   const std::uint32_t attempt = ++attempts_[params.job.value];
   if (attempt > resilience_.max_retries) {
-    ++retries_exhausted_;
+    ++faults_.retries_exhausted;
     return;
   }
   // Exponential backoff, but never a retry that cannot meet the deadline:
@@ -182,7 +181,7 @@ void VirtManager::schedule_retry(const ParamSlot& params, Slot now) {
                      << (attempt - 1);
   const Slot due = now + 1 + delay;
   if (due + params.total > params.absolute_deadline) {
-    ++retries_exhausted_;
+    ++faults_.retries_exhausted;
     return;
   }
   workload::Job job;
@@ -199,8 +198,8 @@ void VirtManager::schedule_retry(const ParamSlot& params, Slot now) {
                  : 1;
   job.payload_bytes = params.payload_bytes;
   retry_queue_.push_back(PendingRetry{due, job, attempt});
-  ++retries_;
-  max_retry_attempt_ = std::max(max_retry_attempt_, attempt);
+  ++faults_.retries;
+  faults_.max_retry_attempt = std::max(faults_.max_retry_attempt, attempt);
   trace(now, TraceEventKind::kRetry, job.vm, job.task, job.id, attempt);
 }
 
@@ -210,14 +209,15 @@ void VirtManager::note_vm_fault(VmId vm, Slot now) {
   if (!resilience_.degradation_enabled || vm_degraded_[i] != 0) return;
   if (vm_fault_counts_[i] < resilience_.degradation_threshold) return;
   vm_degraded_[i] = 1;
+  ++faults_.degraded_vms;
   const std::size_t shed = pools_[i]->shed_all();
   shadow_dirty_[i] = 1;
-  jobs_shed_ += shed;
+  faults_.jobs_shed += shed;
   // Pending retries of the degraded VM are shed with the queue.
   std::size_t kept = 0;
   for (auto& r : retry_queue_) {
     if (r.job.vm == vm) {
-      ++jobs_shed_;
+      ++faults_.jobs_shed;
       continue;
     }
     retry_queue_[kept++] = r;
@@ -225,7 +225,7 @@ void VirtManager::note_vm_fault(VmId vm, Slot now) {
   retry_queue_.resize(kept);
   if (active_valid_ && active_vm_ == i) active_valid_ = false;
   trace(now, TraceEventKind::kShed, vm, TaskId{}, JobId{},
-        clamp_aux(jobs_shed_));
+        clamp_aux(faults_.jobs_shed));
 }
 
 void VirtManager::set_jitter_recorder(JitterRecorder* recorder) {
@@ -328,7 +328,7 @@ VirtManager::SlotUse VirtManager::tick_slot_impl(
     if (injector_->spurious_interrupt(fault_site_)) {
       // A phantom IRQ makes the hypervisor service a completion that never
       // happened; the free slot is burned on the spurious handler.
-      ++spurious_irqs_;
+      ++faults_.spurious_irq_slots;
       trace(now, TraceEventKind::kFaultInject, VmId{}, TaskId{}, JobId{},
             fault_aux(faults::FaultKind::kSpuriousInterrupt));
       return SlotUse::kStall;
@@ -369,7 +369,7 @@ VirtManager::SlotUse VirtManager::tick_slot_impl(
         faulted = true;
       }
       if (faulted) {
-        ++frame_faults_;
+        ++faults_.frame_faults;
         trace(now, TraceEventKind::kFaultInject, finished->vm, finished->task,
               finished->job, fault_aux(frame_fault));
         note_vm_fault(finished->vm, now);
@@ -481,12 +481,6 @@ std::uint64_t VirtManager::dropped_jobs() const {
   std::uint64_t total = 0;
   for (const auto& pool : pools_) total += pool->dropped();
   return total;
-}
-
-std::size_t VirtManager::degraded_vms() const {
-  std::size_t n = 0;
-  for (auto d : vm_degraded_) n += d;
-  return n;
 }
 
 }  // namespace ioguard::core

@@ -88,27 +88,11 @@ class VirtManager {
   [[nodiscard]] std::uint64_t dropped_jobs() const;
 
   // ---- Fault/resilience observability (all 0 in a fault-free run). ------
-  [[nodiscard]] std::uint64_t watchdog_aborts() const {
-    return watchdog_aborts_;
+  /// This device's watchdog, retry, shed, degradation, frame-fault, stall
+  /// and spurious-IRQ counts (the fifo_* and trial-level fields stay 0).
+  [[nodiscard]] const faults::FaultCounters& fault_counters() const {
+    return faults_;
   }
-  [[nodiscard]] std::uint64_t retries_scheduled() const { return retries_; }
-  [[nodiscard]] std::uint64_t retries_exhausted() const {
-    return retries_exhausted_;
-  }
-  /// The largest retry attempt number ever scheduled (<= max_retries).
-  [[nodiscard]] std::uint32_t max_retry_attempt() const {
-    return max_retry_attempt_;
-  }
-  [[nodiscard]] std::uint64_t jobs_shed() const { return jobs_shed_; }
-  [[nodiscard]] std::uint64_t degraded_rejected() const {
-    return degraded_rejected_;
-  }
-  [[nodiscard]] std::uint64_t stalled_slots() const { return stalled_slots_; }
-  [[nodiscard]] std::uint64_t frame_faults() const { return frame_faults_; }
-  [[nodiscard]] std::uint64_t spurious_irq_slots() const {
-    return spurious_irqs_;
-  }
-  [[nodiscard]] std::size_t degraded_vms() const;
   [[nodiscard]] bool vm_degraded(std::size_t vm_index) const {
     return vm_degraded_.at(vm_index) != 0;
   }
@@ -134,7 +118,7 @@ class VirtManager {
     return lo_mode_rejected_;
   }
   /// LO jobs shed by mode switches on this device (distinct from the
-  /// degradation counter jobs_shed()).
+  /// degradation count in fault_counters()).
   [[nodiscard]] std::uint64_t mode_jobs_shed() const {
     return mode_jobs_shed_;
   }
@@ -180,13 +164,10 @@ class VirtManager {
   /// Hypervisor::set_slot_skipping(true) turns the checks off.
   void set_bookkeeping_checks(bool on) { check_bookkeeping_ = on; }
 
-  /// Cycle cost of the virtualization-driver path for the last completion
-  /// (request + response translation); sub-slot, reported for calibration.
+  /// The request-side translator, whose translation count and worst
+  /// observed cycles (sub-slot) are reported for calibration.
   [[nodiscard]] const RtTranslator& request_translator() const {
     return request_translator_;
-  }
-  [[nodiscard]] const RtTranslator& response_translator() const {
-    return response_translator_;
   }
 
   /// Attaches an event trace buffer (not owned); `device` labels the events.
@@ -272,15 +253,7 @@ class VirtManager {
   std::map<std::uint64_t, std::uint32_t> attempts_;  // by job id
   std::vector<std::uint64_t> vm_fault_counts_;
   std::vector<std::uint8_t> vm_degraded_;
-  std::uint64_t watchdog_aborts_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t retries_exhausted_ = 0;
-  std::uint32_t max_retry_attempt_ = 0;
-  std::uint64_t jobs_shed_ = 0;
-  std::uint64_t degraded_rejected_ = 0;
-  std::uint64_t stalled_slots_ = 0;
-  std::uint64_t frame_faults_ = 0;
-  std::uint64_t spurious_irqs_ = 0;
+  faults::FaultCounters faults_;
 
   // ---- Mixed-criticality state (inert without a mode controller). -------
   ModeController* mode_ = nullptr;

@@ -1,5 +1,6 @@
 #include "faults/fault_plan.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -233,6 +234,23 @@ std::vector<std::string> FaultPlan::canned_plan_names() {
   std::vector<std::string> out;
   for (const auto& c : kCanned) out.emplace_back(c.name);
   return out;
+}
+
+FaultCounters& FaultCounters::operator+=(const FaultCounters& other) {
+  injected_total += other.injected_total;
+  watchdog_aborts += other.watchdog_aborts;
+  retries += other.retries;
+  retries_exhausted += other.retries_exhausted;
+  max_retry_attempt = std::max(max_retry_attempt, other.max_retry_attempt);
+  jobs_shed += other.jobs_shed;
+  degraded_vms += other.degraded_vms;
+  frame_faults += other.frame_faults;
+  stalled_slots += other.stalled_slots;
+  spurious_irq_slots += other.spurious_irq_slots;
+  transit_drops += other.transit_drops;
+  fifo_frames_lost += other.fifo_frames_lost;
+  fifo_stalled_slots += other.fifo_stalled_slots;
+  return *this;
 }
 
 }  // namespace ioguard::faults

@@ -113,4 +113,27 @@ struct ResilienceConfig {
   }
 };
 
+/// Fault/resilience outcome of one trial; every field is 0 when the plan is
+/// empty, so zero-fault TrialResults compare equal to pre-fault baselines.
+/// Each I/O-GUARD device manager and each baseline FIFO controller counts
+/// into its own; the back-end sums them once (operator+=).
+struct FaultCounters {
+  std::uint64_t injected_total = 0;      ///< faults fired, all kinds
+  std::uint64_t watchdog_aborts = 0;     ///< hypervisor watchdog recoveries
+  std::uint64_t retries = 0;             ///< retry submissions scheduled
+  std::uint64_t retries_exhausted = 0;   ///< jobs given up (attempts/deadline)
+  std::uint32_t max_retry_attempt = 0;   ///< never exceeds max_retries
+  std::uint64_t jobs_shed = 0;           ///< degradation queue sheds
+  std::uint64_t degraded_vms = 0;        ///< VMs in degraded mode at end
+  std::uint64_t frame_faults = 0;        ///< dropped/corrupt response frames
+  std::uint64_t stalled_slots = 0;       ///< device-stall slots served
+  std::uint64_t spurious_irq_slots = 0;  ///< free slots burned on phantom IRQs
+  std::uint64_t transit_drops = 0;       ///< requests eaten on the interconnect
+  std::uint64_t fifo_frames_lost = 0;    ///< baseline FIFOs: unrecovered loss
+  std::uint64_t fifo_stalled_slots = 0;  ///< baseline FIFOs: stall slots
+
+  /// Adds every count of `other`; max_retry_attempt keeps the larger.
+  FaultCounters& operator+=(const FaultCounters& other);
+};
+
 }  // namespace ioguard::faults

@@ -28,7 +28,7 @@ std::optional<Completion> FifoController::tick_slot(Slot now) {
       // No watchdog here: the FIFO head (and everything behind it) waits
       // out the whole stall.
       --stall_remaining_;
-      ++stalled_slots_;
+      ++faults_.fifo_stalled_slots;
       ++profile_stall_slots_;
       return std::nullopt;
     }
@@ -49,7 +49,7 @@ std::optional<Completion> FifoController::tick_slot(Slot now) {
                                  injector_->corrupt_frame(fault_site_))) {
       // Lost/corrupt frame with no retransmission: the job silently never
       // completes (the system layer accounts the deadline miss).
-      ++frames_lost_;
+      ++faults_.fifo_frames_lost;
       current_.reset();
       return std::nullopt;
     }
@@ -67,6 +67,16 @@ std::optional<Completion> FifoController::tick_slot(Slot now) {
     return done;
   }
   return std::nullopt;
+}
+
+FifoBank::FifoBank(std::size_t devices, std::size_t queue_capacity,
+                   Slot dispatch_overhead_slots,
+                   faults::FaultInjector* injector) {
+  fifos_.reserve(devices);
+  for (std::size_t d = 0; d < devices; ++d) {
+    fifos_.emplace_back(queue_capacity, dispatch_overhead_slots);
+    fifos_.back().set_fault_injector(injector, d);
+  }
 }
 
 }  // namespace ioguard::iodev

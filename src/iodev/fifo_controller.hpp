@@ -4,12 +4,14 @@
 // which forbids context switches at the hardware level" (Sec. I). Jobs are
 // served strictly in arrival order and non-preemptively: once started, a job
 // occupies the device until its service demand is exhausted. This is the
-// I/O-side behaviour of BS|Legacy, BS|RT-XEN (backend) and BS|BV.
+// I/O-side behaviour of BS|Legacy, BS|RT-XEN (backend) and BS|BV, whose
+// device back-end is a FifoBank: one controller per device.
 #pragma once
 
+#include <algorithm>
 #include <deque>
-#include <functional>
 #include <optional>
+#include <vector>
 
 #include "common/jitter.hpp"
 #include "common/types.hpp"
@@ -50,8 +52,6 @@ class FifoController {
   /// Advances one slot; returns the completion finishing in this slot, if any.
   std::optional<Completion> tick_slot(Slot now);
 
-  [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
-  [[nodiscard]] bool busy() const { return current_.has_value(); }
   [[nodiscard]] Slot busy_slots() const { return busy_slots_; }
   [[nodiscard]] std::uint64_t rejected() const { return rejected_; }
   [[nodiscard]] bool idle() const { return queue_.empty() && !current_; }
@@ -71,8 +71,11 @@ class FifoController {
     fault_site_ = site;
   }
 
-  [[nodiscard]] std::uint64_t stalled_slots() const { return stalled_slots_; }
-  [[nodiscard]] std::uint64_t frames_lost() const { return frames_lost_; }
+  /// Stall slots and unrecovered lost frames, as fifo_stalled_slots and
+  /// fifo_frames_lost (every other field stays 0).
+  [[nodiscard]] const faults::FaultCounters& fault_counters() const {
+    return faults_;
+  }
 
   /// Attaches a jitter recorder (not owned; nullptr detaches). Completions
   /// record their deviation from release + wcet + dispatch overhead (the
@@ -120,11 +123,70 @@ class FifoController {
   faults::FaultInjector* injector_ = nullptr;
   std::size_t fault_site_ = 0;
   Slot stall_remaining_ = 0;
-  std::uint64_t stalled_slots_ = 0;
-  std::uint64_t frames_lost_ = 0;
+  faults::FaultCounters faults_;
   JitterRecorder* jitter_ = nullptr;
   std::uint64_t profile_stall_slots_ = 0;
   std::uint64_t profile_quiescent_slots_ = 0;
+};
+
+/// The baselines' device back-end: one FifoController per device, driven
+/// through the calls the runner makes on core::Hypervisor, so one slot loop
+/// serves both back-ends.
+class FifoBank {
+ public:
+  /// `devices` controllers of `queue_capacity` entries; device d is fault
+  /// site d of `injector` (not owned; nullptr = fault-free).
+  FifoBank(std::size_t devices, std::size_t queue_capacity,
+           Slot dispatch_overhead_slots,
+           faults::FaultInjector* injector = nullptr);
+
+  /// Enqueues `job` at its device's controller; false when that FIFO is full.
+  [[nodiscard]] bool submit(const workload::Job& job, Slot now) {
+    return fifos_[job.device.value].enqueue(job, now);
+  }
+
+  /// Advances every controller one slot, in device order; completions are
+  /// appended to `out`.
+  void tick_slot(Slot now, std::vector<Completion>& out) {
+    for (auto& f : fifos_)
+      if (auto done = f.tick_slot(now)) out.push_back(*done);
+  }
+
+  /// Earliest slot >= `from` at which any controller has work.
+  [[nodiscard]] Slot next_busy_slot(Slot from) const {
+    Slot wake = kNeverSlot;
+    for (const auto& f : fifos_) wake = std::min(wake, f.next_busy_slot(from));
+    return wake;
+  }
+
+  /// Batch-attributes `n` skipped slots as quiescent on every controller.
+  void note_skipped_slots(std::uint64_t n) {
+    for (auto& f : fifos_) f.note_skipped_slots(n);
+  }
+
+  /// The baselines have no P-channel: every job goes through a FIFO.
+  [[nodiscard]] static bool pchannel_task(TaskId /*task*/) { return false; }
+
+  /// Attaches one jitter recorder to every controller (not owned).
+  void set_jitter_recorder(JitterRecorder* recorder) {
+    for (auto& f : fifos_) f.set_jitter_recorder(recorder);
+  }
+
+  /// Device `device`'s controller (named like Hypervisor::manager).
+  [[nodiscard]] const FifoController& manager(DeviceId device) const {
+    return fifos_.at(device.value);
+  }
+  [[nodiscard]] std::size_t device_count() const { return fifos_.size(); }
+
+  /// Every controller's fault counters, summed.
+  [[nodiscard]] faults::FaultCounters fault_counters() const {
+    faults::FaultCounters total;
+    for (const auto& f : fifos_) total += f.fault_counters();
+    return total;
+  }
+
+ private:
+  std::vector<FifoController> fifos_;  // index = DeviceId
 };
 
 }  // namespace ioguard::iodev

@@ -155,7 +155,7 @@ void encode_trial_result(ByteWriter& w, const TrialResult& result) {
   put_online_stats(w, result.stage_vmm);
   put_online_stats(w, result.stage_transit);
   put_online_stats(w, result.stage_backend);
-  const FaultCounters& fc = result.faults;
+  const faults::FaultCounters& fc = result.faults;
   w.put_u64(fc.injected_total);
   w.put_u64(fc.watchdog_aborts);
   w.put_u64(fc.retries);
@@ -230,7 +230,7 @@ void encode_trial_result(ByteWriter& w, const TrialResult& result) {
   result.stage_vmm = get_online_stats(r);
   result.stage_transit = get_online_stats(r);
   result.stage_backend = get_online_stats(r);
-  FaultCounters& fc = result.faults;
+  faults::FaultCounters& fc = result.faults;
   fc.injected_total = r.get_u64();
   fc.watchdog_aborts = r.get_u64();
   fc.retries = r.get_u64();
@@ -318,7 +318,7 @@ struct JournalScan {
   std::vector<CheckpointRecord> records;
   std::size_t valid_bytes = 0;  ///< prefix length covered by intact frames
   bool truncated_tail = false;
-  Status corrupt = OkStatus();  ///< DataLoss when a retained frame fails CRC
+  Status corrupt = OkStatus();  ///< DataLoss when a retained frame fails
 };
 
 [[nodiscard]] JournalScan scan_journal(std::string_view bytes) {
@@ -555,7 +555,7 @@ CheckpointFacts inspect_checkpoint(const std::string& path) {
     const JournalScan scan = scan_journal(*bytes);
     facts.records = scan.records.size();
     facts.truncated_tail = scan.truncated_tail;
-    facts.corrupt = !scan.corrupt.ok();
+    facts.corruption = scan.corrupt.message();
     for (const auto& record : scan.records)
       if (record.abandoned) ++facts.abandoned;
   }

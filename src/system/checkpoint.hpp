@@ -66,7 +66,7 @@ struct CheckpointFacts {
   std::size_t records = 0;        ///< CRC-valid records in the journal
   std::size_t abandoned = 0;      ///< records flagged abandoned
   bool truncated_tail = false;    ///< journal ends in a partial frame
-  bool corrupt = false;           ///< CRC failure inside the retained prefix
+  std::string corruption;  ///< why a retained frame failed; empty if none
   std::vector<std::string> orphaned_temps;  ///< stale atomic-write staging files
 };
 

@@ -5,9 +5,8 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "core/hypervisor.hpp"
-#include "iodev/fifo_controller.hpp"
 #include "noc/mesh.hpp"
+#include "system/runner.hpp"
 #include "system/stages.hpp"
 #include "workload/arrivals.hpp"
 
@@ -15,14 +14,13 @@ namespace ioguard::sys {
 
 CosimResult run_cosim(const CosimConfig& config) {
   // ---- Workload (same builder as the analytic runner). -------------------
-  workload::CaseStudyConfig wl_cfg = config.workload;
-  if (config.kind != SystemKind::kIoGuard) wl_cfg.preload_fraction = 0.0;
-  wl_cfg.seed = config.seed * 1000003ULL + 17;
-  const auto wl = workload::build_case_study(wl_cfg);
+  const TrialSeeds seeds =
+      seed_trial(config.kind, config.workload, config.seed);
+  const auto wl = workload::build_case_study(seeds.workload);
 
   workload::ArrivalConfig arr;
   arr.horizon = config.horizon_slots;
-  arr.seed = config.seed * 2654435761ULL + 99;
+  arr.seed = seeds.arrival_seed;
   const auto trace = workload::generate_trace(wl.tasks, arr);
 
   std::vector<workload::TaskClass> task_class(wl.tasks.size());
@@ -35,7 +33,7 @@ CosimResult run_cosim(const CosimConfig& config) {
   // row (nodes 20..23), mirroring the paper's floorplan. -------------------
   noc::MeshConfig mesh_cfg;
   noc::Mesh mesh(mesh_cfg);
-  const std::size_t num_vms = wl_cfg.num_vms;
+  const std::size_t num_vms = seeds.workload.num_vms;
   IOGUARD_CHECK_MSG(num_vms <= 16, "co-sim floorplan hosts up to 16 VMs");
   auto vm_node = [&](VmId vm) {
     return NodeId{static_cast<std::uint32_t>(vm.value)};
@@ -47,20 +45,14 @@ CosimResult run_cosim(const CosimConfig& config) {
   const Calibration& cal = config.cal;
   const Cycle cps = cal.cycles_per_slot;
 
-  // ---- Back-ends. ---------------------------------------------------------
-  std::vector<iodev::FifoController> fifos;
+  // ---- Back-ends, built as run_trial builds them. -------------------------
+  // The FIFO bank sits behind the device nodes; only the baselines send it
+  // request packets.
+  iodev::FifoBank fifos = fifo_bank(cal, nullptr);
   std::unique_ptr<core::Hypervisor> hyp;
-  if (config.kind == SystemKind::kIoGuard) {
-    core::HypervisorConfig hc;
-    hc.num_vms = num_vms;
-    hc.pool_capacity = cal.pool_capacity;
-    hc.dispatch_overhead_slots = cal.dispatch_overhead_slots;
-    hyp = std::make_unique<core::Hypervisor>(wl, hc);
-  } else {
-    for (std::size_t d = 0; d < workload::kCaseStudyDeviceCount; ++d)
-      fifos.emplace_back(cal.device_fifo_capacity,
-                         cal.dispatch_overhead_slots);
-  }
+  if (config.kind == SystemKind::kIoGuard)
+    hyp = std::make_unique<core::Hypervisor>(wl,
+                                             hypervisor_config(cal, num_vms));
 
   std::vector<IssueStage> issue;
   for (std::size_t v = 0; v < num_vms; ++v)
@@ -100,18 +92,19 @@ CosimResult run_cosim(const CosimConfig& config) {
   // In-flight jobs keyed by packet tag (== trace job id).
   std::map<std::uint64_t, workload::Job> in_flight;
 
-  // Request packets deliver into the device FIFO / pending response packets
-  // deliver back to the VM nodes.
+  // Request packets deliver into their job's device FIFO (a request travels
+  // to its job's device node) / pending response packets deliver back to
+  // the VM nodes.
   for (std::size_t d = 0; d < workload::kCaseStudyDeviceCount; ++d) {
     mesh.set_delivery_handler(
         device_node(DeviceId{static_cast<std::uint32_t>(d)}),
-        [&, d](const noc::Packet& p, Cycle now) {
+        [&](const noc::Packet& p, Cycle now) {
           if (p.kind != noc::PacketKind::kIoRequest) return;
           result.request_latency_cycles.add(static_cast<double>(p.latency()));
           const auto it = in_flight.find(p.tag);
           IOGUARD_CHECK(it != in_flight.end());
           const Slot slot = now / cps;
-          if (!fifos[d].enqueue(it->second, slot)) ++result.dropped;
+          if (!fifos.submit(it->second, slot)) ++result.dropped;
         });
   }
   for (std::size_t v = 0; v < num_vms; ++v) {
@@ -182,17 +175,16 @@ CosimResult run_cosim(const CosimConfig& config) {
         for (const auto& done : completions)
           record_final(done.job, done.completed_at);
       } else {
-        for (std::size_t d = 0; d < fifos.size(); ++d) {
-          if (auto done = fifos[d].tick_slot(slot)) {
-            noc::Packet p;
-            p.src = device_node(DeviceId{static_cast<std::uint32_t>(d)});
-            p.dst = vm_node(done->job.vm);
-            p.kind = noc::PacketKind::kIoResponse;
-            p.priority = 1;
-            p.payload_bytes = done->job.payload_bytes;
-            p.tag = done->job.id.value;
-            mesh.send(p, now);
-          }
+        fifos.tick_slot(slot, completions);
+        for (const auto& done : completions) {
+          noc::Packet p;
+          p.src = device_node(done.job.device);
+          p.dst = vm_node(done.job.vm);
+          p.kind = noc::PacketKind::kIoResponse;
+          p.priority = 1;
+          p.payload_bytes = done.job.payload_bytes;
+          p.tag = done.job.id.value;
+          mesh.send(p, now);
         }
       }
     }

@@ -12,8 +12,6 @@
 
 #include "common/appender.hpp"
 #include "common/check.hpp"
-#include "faults/injector.hpp"
-#include "iodev/fifo_controller.hpp"
 #include "system/stages.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/spans.hpp"
@@ -78,8 +76,7 @@ void fill_fault_metrics(telemetry::MetricsRegistry& reg,
 }
 
 void fill_metrics(telemetry::MetricsRegistry& reg, const TrialConfig& config,
-                  const TrialResult& result, const core::Hypervisor* hyp,
-                  const std::vector<iodev::FifoController>& fifos) {
+                  const TrialResult& result) {
   using telemetry::Labels;
   const Labels sys_label{{"system", to_string(config.kind)}};
 
@@ -105,40 +102,53 @@ void fill_metrics(telemetry::MetricsRegistry& reg, const TrialConfig& config,
       .set(result.admitted ? 1.0 : 0.0);
   reg.gauge("ioguard_trial_horizon_slots", sys_label)
       .set(static_cast<double>(result.horizon));
+}
 
-  if (hyp) {
-    for (std::size_t d = 0; d < hyp->device_count(); ++d) {
-      const auto& vm = hyp->manager(DeviceId{static_cast<std::uint32_t>(d)});
-      const std::string dev = std::to_string(d);
-      const Labels dev_label{{"device", dev}};
-      reg.counter("ioguard_device_busy_slots_total", dev_label)
-          .inc(vm.busy_slots());
-      reg.counter("ioguard_device_runtime_jobs_completed_total", dev_label)
-          .inc(vm.runtime_jobs_completed());
-      reg.counter("ioguard_translations_total", dev_label)
-          .inc(vm.request_translator().translations());
-      reg.gauge("ioguard_translation_worst_cycles", dev_label)
-          .set(static_cast<double>(vm.request_translator().worst_observed()));
-      for (std::size_t v = 0; v < vm.num_vms(); ++v) {
-        const Labels dv{{"device", dev}, {"vm", std::to_string(v)}};
-        reg.counter("ioguard_pool_dropped_total", dv).inc(vm.pool(v).dropped());
-        reg.counter("ioguard_gsched_granted_slots_total", dv)
-            .inc(static_cast<std::uint64_t>(vm.gsched().granted(v)));
-        reg.counter("ioguard_gsched_slack_slots_total", dv)
-            .inc(static_cast<std::uint64_t>(vm.gsched().slack_granted(v)));
-      }
+/// Per-device counters of each back-end (the registry sorts its series, so
+/// they print in the same place whenever they are filled).
+void fill_device_metrics(telemetry::MetricsRegistry& reg,
+                         const core::Hypervisor& hyp) {
+  using telemetry::Labels;
+  for (std::size_t d = 0; d < hyp.device_count(); ++d) {
+    const auto& vm = hyp.manager(DeviceId{static_cast<std::uint32_t>(d)});
+    const std::string dev = std::to_string(d);
+    const Labels dev_label{{"device", dev}};
+    reg.counter("ioguard_device_busy_slots_total", dev_label)
+        .inc(vm.busy_slots());
+    reg.counter("ioguard_device_runtime_jobs_completed_total", dev_label)
+        .inc(vm.runtime_jobs_completed());
+    reg.counter("ioguard_translations_total", dev_label)
+        .inc(vm.request_translator().translations());
+    reg.gauge("ioguard_translation_worst_cycles", dev_label)
+        .set(static_cast<double>(vm.request_translator().worst_observed()));
+    for (std::size_t v = 0; v < vm.num_vms(); ++v) {
+      const Labels dv{{"device", dev}, {"vm", std::to_string(v)}};
+      reg.counter("ioguard_pool_dropped_total", dv).inc(vm.pool(v).dropped());
+      reg.counter("ioguard_gsched_granted_slots_total", dv)
+          .inc(static_cast<std::uint64_t>(vm.gsched().granted(v)));
+      reg.counter("ioguard_gsched_slack_slots_total", dv)
+          .inc(static_cast<std::uint64_t>(vm.gsched().slack_granted(v)));
     }
   }
-  for (std::size_t d = 0; d < fifos.size(); ++d) {
-    const Labels dev_label{{"device", std::to_string(d)}};
+}
+
+void fill_device_metrics(telemetry::MetricsRegistry& reg,
+                         const iodev::FifoBank& fifos) {
+  for (std::size_t d = 0; d < fifos.device_count(); ++d) {
+    const iodev::FifoController& f =
+        fifos.manager(DeviceId{static_cast<std::uint32_t>(d)});
+    const telemetry::Labels dev_label{{"device", std::to_string(d)}};
     reg.counter("ioguard_fifo_jobs_completed_total", dev_label)
-        .inc(fifos[d].jobs_completed());
+        .inc(f.jobs_completed());
     reg.counter("ioguard_fifo_bytes_completed_total", dev_label)
-        .inc(fifos[d].bytes_completed());
-    reg.counter("ioguard_fifo_rejected_total", dev_label)
-        .inc(fifos[d].rejected());
+        .inc(f.bytes_completed());
+    reg.counter("ioguard_fifo_rejected_total", dev_label).inc(f.rejected());
   }
 }
+
+/// The prefix of each back-end's per-device profile rows.
+const char* device_row(const core::Hypervisor& /*hyp*/) { return "device"; }
+const char* device_row(const iodev::FifoBank& /*fifos*/) { return "fifo"; }
 
 /// Jitter/profile export (DESIGN.md §14). Each jitter histogram is loaded
 /// bucket by bucket into a LatencyHistogram over the HDR bounds, its values
@@ -254,12 +264,35 @@ StatusOr<TrialConfig> TrialConfig::validated(TrialConfig raw) {
   return raw;
 }
 
+TrialSeeds seed_trial(SystemKind kind, workload::CaseStudyConfig workload,
+                      std::uint64_t trial_seed) {
+  if (kind != SystemKind::kIoGuard) workload.preload_fraction = 0.0;
+  workload.seed = trial_seed * 1000003ULL + 17;
+  return TrialSeeds{workload, trial_seed * 2654435761ULL + 99};
+}
+
+core::HypervisorConfig hypervisor_config(const Calibration& cal,
+                                         std::size_t num_vms) {
+  core::HypervisorConfig hc;
+  hc.num_vms = num_vms;
+  hc.pool_capacity = cal.pool_capacity;
+  hc.dispatch_overhead_slots = cal.dispatch_overhead_slots;
+  hc.translator.wcet_cycles = cal.translation_wcet_cycles;
+  return hc;
+}
+
+iodev::FifoBank fifo_bank(const Calibration& cal,
+                          faults::FaultInjector* injector) {
+  return iodev::FifoBank(workload::kCaseStudyDeviceCount,
+                         cal.device_fifo_capacity,
+                         cal.dispatch_overhead_slots, injector);
+}
+
 TrialResult run_trial(const TrialConfig& config) {
   // ---- 1. Build the workload and the release trace. ----------------------
-  workload::CaseStudyConfig wl_cfg = config.workload;
-  if (config.kind != SystemKind::kIoGuard) wl_cfg.preload_fraction = 0.0;
-  wl_cfg.seed = config.trial_seed * 1000003ULL + 17;
-  const auto wl = workload::build_case_study(wl_cfg);
+  const TrialSeeds seeds =
+      seed_trial(config.kind, config.workload, config.trial_seed);
+  const auto wl = workload::build_case_study(seeds.workload);
 
   TrialResult result;
   const Slot horizon =
@@ -270,16 +303,14 @@ TrialResult run_trial(const TrialConfig& config) {
 
   workload::ArrivalConfig arr;
   arr.horizon = horizon;
-  arr.seed = config.trial_seed * 2654435761ULL + 99;
+  arr.seed = seeds.arrival_seed;
   const auto trace = workload::generate_trace(wl.tasks, arr);
 
   // Task class lookup (task ids are dense).
   std::vector<workload::TaskClass> task_class(wl.tasks.size());
-  std::vector<workload::TaskKind> task_kind(wl.tasks.size());
   std::vector<std::uint8_t> task_hi(wl.tasks.size(), 0);
   for (const auto& t : wl.tasks.tasks()) {
     task_class[t.id.value] = t.cls;
-    task_kind[t.id.value] = t.kind;
     task_hi[t.id.value] = t.hi_criticality() ? 1 : 0;
   }
   auto is_critical = [&](TaskId id) {
@@ -287,8 +318,8 @@ TrialResult run_trial(const TrialConfig& config) {
   };
   auto is_hi = [&](TaskId id) { return task_hi[id.value] != 0; };
 
-  // ---- 2. Instantiate the system under test. -----------------------------
-  const std::size_t num_vms = wl_cfg.num_vms;
+  // ---- 2. Instantiate the software stages. -------------------------------
+  const std::size_t num_vms = seeds.workload.num_vms;
   const Calibration& cal = config.cal;
 
   std::vector<IssueStage> issue;
@@ -301,10 +332,10 @@ TrialResult run_trial(const TrialConfig& config) {
     vmm = std::make_unique<VmmStage>(cal, num_vms, config.trial_seed ^ 0xabc);
 
   TransitModel request_transit(cal, config.kind, num_vms,
-                               wl_cfg.target_utilization,
+                               seeds.workload.target_utilization,
                                config.trial_seed ^ 0x111);
   TransitModel response_transit(cal, config.kind, num_vms,
-                                wl_cfg.target_utilization,
+                                seeds.workload.target_utilization,
                                 config.trial_seed ^ 0x222);
 
   // Fault injector: only constructed for a non-empty plan so the fault-free
@@ -314,419 +345,362 @@ TrialResult run_trial(const TrialConfig& config) {
     injector = std::make_unique<faults::FaultInjector>(config.faults,
                                                        config.trial_seed);
 
-  // Device back-ends: legacy FIFO controllers or the I/O-GUARD hypervisor.
-  std::vector<iodev::FifoController> fifos;
-  std::unique_ptr<core::Hypervisor> hyp;
-  if (config.kind == SystemKind::kIoGuard) {
-    core::HypervisorConfig hc;
-    hc.num_vms = num_vms;
-    hc.pool_capacity = cal.pool_capacity;
-    hc.dispatch_overhead_slots = cal.dispatch_overhead_slots;
-    hc.policy = config.gsched_policy;
-    hc.translator.wcet_cycles = cal.translation_wcet_cycles;
-    hc.injector = injector.get();
-    hc.resilience = config.resilience;
-    hc.mode_switch = config.mode_switch;
-    hyp = std::make_unique<core::Hypervisor>(wl, hc);
-    result.admitted = hyp->fully_admitted();
-    if (config.trace) hyp->set_tracer(config.trace);
-    // Event-driven mode skips provably-quiescent managers inside tick_slot
-    // too (per-device wake calendar) -- the cursor jump below only helps
-    // when *every* device sleeps at once.
-    if (!config.stepped) hyp->set_slot_skipping(true);
-  } else {
-    for (std::size_t d = 0; d < workload::kCaseStudyDeviceCount; ++d) {
-      fifos.emplace_back(cal.device_fifo_capacity,
-                         cal.dispatch_overhead_slots);
-      fifos.back().set_fault_injector(injector.get(), d);
-    }
-  }
-
-  // ---- 2b. Observability taps (DESIGN.md §14). ---------------------------
+  // Jitter tap (DESIGN.md §14), attached to the device back-end below.
   std::unique_ptr<JitterRecorder> jitter;
-  if (config.collect_jitter) {
+  if (config.collect_jitter)
     jitter = std::make_unique<JitterRecorder>(num_vms, cal.cycles_per_slot);
-    if (hyp) hyp->set_jitter_recorder(jitter.get());
-    for (auto& f : fifos) f.set_jitter_recorder(jitter.get());
-  }
 
-  // Flight recorder (I/O-GUARD back-end only): observes the trace ring; a
-  // trial without an attached trace gets a private ring just for it.
-  std::unique_ptr<core::EventTrace> flight_ring_storage;
-  std::unique_ptr<telemetry::FlightRecorder> flight;
-  core::EventTrace* flight_ring = nullptr;
-  if (hyp && !config.flight_dir.empty()) {
-    flight_ring = config.trace;
-    if (flight_ring == nullptr) {
-      flight_ring_storage = std::make_unique<core::EventTrace>(4096);
-      hyp->set_tracer(flight_ring_storage.get());
-      flight_ring = flight_ring_storage.get();
+  // ---- 3. The trial on one device back-end. ------------------------------
+  // Instantiated once for the I/O-GUARD hypervisor and once for the
+  // baselines' FIFO bank, which answer the same calls; nothing below
+  // branches on which one it drives.
+  auto drive = [&](auto& backend) {
+    if (jitter) backend.set_jitter_recorder(jitter.get());
+
+    // Slot attribution of the runner-owned software stages. A stage is busy
+    // in a slot when it holds work at the start of that slot (it spends
+    // issue/VMM cycles there), quiescent otherwise; the transit link is
+    // busy while any transfer is in flight. These single-server stages
+    // never stall, so their stall count stays 0; the device back-ends
+    // attribute their own slots internally.
+    std::vector<std::uint64_t> issue_busy;
+    std::uint64_t vmm_busy = 0;
+    std::uint64_t transit_busy = 0;
+    if (config.collect_profile) issue_busy.assign(num_vms, 0);
+
+    // Miss accounting setup.
+    std::vector<Outcome> outcomes(trace.size());
+    // Dense per-task miss counters (task ids are dense); compacted into
+    // result.misses_by_task at tally so the hot path never touches a map.
+    std::vector<std::uint32_t> miss_counts(wl.tasks.size(), 0);
+    std::uint64_t bytes_on_time = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const auto& j = trace[i];
+      // Tasks the P-channel actually owns execute from the Time Slot Table
+      // and emit their own completions; their trace entries are skipped
+      // entirely. (Pre-defined tasks the hypervisor demoted flow through the
+      // R-channel like run-time jobs.)
+      outcomes[i].deadline = j.absolute_deadline;
+      outcomes[i].counted =
+          !backend.pchannel_task(j.task) && j.absolute_deadline <= horizon;
+      outcomes[i].critical = is_critical(j.task);
+      outcomes[i].hi = is_hi(j.task);
+      outcomes[i].payload = j.payload_bytes;
+      outcomes[i].task = j.task.value;
     }
-    telemetry::FlightRecorderConfig fr;
-    fr.dir = config.flight_dir;
-    fr.stem = config.flight_stem;
-    fr.last_n = config.flight_last_n;
-    fr.max_dumps = config.flight_max_dumps;
-    flight = std::make_unique<telemetry::FlightRecorder>(std::move(fr));
-    core::Hypervisor* h = hyp.get();
-    flight->set_state_writer(
-        [h](std::ostream& os) { h->dump_scheduler_state(os); });
-    flight_ring->set_observer(flight.get());
-  }
 
-  // Slot attribution of the runner-owned software stages. A stage is busy
-  // in a slot when it holds work at the start of that slot (it spends
-  // issue/VMM cycles there), quiescent otherwise; the transit link is busy
-  // while any transfer is in flight. These single-server stages never
-  // stall, so their stall count stays 0; the device back-ends attribute
-  // their own slots internally.
-  std::vector<std::uint64_t> issue_busy;
-  std::uint64_t vmm_busy = 0;
-  std::uint64_t transit_busy = 0;
-  if (config.collect_profile) issue_busy.assign(num_vms, 0);
-
-  // ---- 3. Miss accounting setup. ------------------------------------------
-  std::vector<Outcome> outcomes(trace.size());
-  // Dense per-task miss counters (task ids are dense); compacted into
-  // result.misses_by_task at tally so the hot path never touches a map.
-  std::vector<std::uint32_t> miss_counts(wl.tasks.size(), 0);
-  std::uint64_t bytes_on_time = 0;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const auto& j = trace[i];
-    // Tasks the P-channel actually owns execute from the Time Slot Table and
-    // emit their own completions; their trace entries are skipped entirely.
-    // (Pre-defined tasks the hypervisor demoted flow through the R-channel
-    // like run-time jobs.)
-    const bool pchannel_job = hyp && hyp->pchannel_task(j.task);
-    outcomes[i].deadline = j.absolute_deadline;
-    outcomes[i].counted = !pchannel_job && j.absolute_deadline <= horizon;
-    outcomes[i].critical = is_critical(j.task);
-    outcomes[i].hi = is_hi(j.task);
-    outcomes[i].payload = j.payload_bytes;
-    outcomes[i].task = j.task.value;
-  }
-
-  auto record_completion = [&](const iodev::Completion& done, Slot finish) {
-    if (done.job.id.value < outcomes.size() &&
-        config.kind != SystemKind::kIoGuard) {
-      Outcome& o = outcomes[done.job.id.value];
-      if (o.counted && finish <= o.deadline) {
-        o.on_time = true;
-        bytes_on_time += o.payload;
-      }
-    } else if (config.kind == SystemKind::kIoGuard) {
-      // Runtime jobs carry trace ids; P-channel jobs carry synthetic ids but
-      // are distinguished by their owning channel.
-      const bool pchannel_job = hyp->pchannel_task(done.job.task);
-      if (pchannel_job) {
-        if (done.job.absolute_deadline <= horizon) {
+    auto record_completion = [&](const workload::Job& job, Slot finish) {
+      if (backend.pchannel_task(job.task)) {
+        // P-channel jobs carry synthetic ids: they are counted here, not
+        // through the trace's outcomes.
+        if (job.absolute_deadline <= horizon) {
           ++result.jobs_counted;
-          if (finish <= done.job.absolute_deadline) {
+          if (finish <= job.absolute_deadline) {
             ++result.jobs_on_time;
-            bytes_on_time += done.job.payload_bytes;
+            bytes_on_time += job.payload_bytes;
           } else {
             ++result.misses;
-            ++miss_counts[done.job.task.value];
-            if (is_critical(done.job.task)) ++result.critical_misses;
-            if (is_hi(done.job.task)) ++result.mcs.hi_misses;
+            ++miss_counts[job.task.value];
+            if (is_critical(job.task)) ++result.critical_misses;
+            if (is_hi(job.task)) ++result.mcs.hi_misses;
           }
         }
-      } else if (done.job.id.value < outcomes.size()) {
-        Outcome& o = outcomes[done.job.id.value];
+      } else if (job.id.value < outcomes.size()) {
+        Outcome& o = outcomes[job.id.value];
         if (o.counted && finish <= o.deadline) {
           o.on_time = true;
           bytes_on_time += o.payload;
         }
       }
-      if (config.collect_response_times &&
-          is_critical(done.job.task)) {
-        result.response_slots.add(
-            static_cast<double>(finish - done.job.release));
-      }
+      if (config.collect_response_times && is_critical(job.task))
+        result.response_slots.add(static_cast<double>(finish - job.release));
+    };
+
+    // Pre-size the scratch buffers so the per-slot loop never reallocates.
+    std::vector<InFlight> transit_storage;
+    transit_storage.reserve(64);
+    std::priority_queue<InFlight, std::vector<InFlight>, ArriveLater>
+        transit_q(ArriveLater{}, std::move(transit_storage));
+    std::vector<workload::Job> issued, vmm_done;
+    issued.reserve(num_vms);
+    vmm_done.reserve(num_vms);
+    std::vector<iodev::Completion> completions;
+    completions.reserve(workload::kCaseStudyDeviceCount);
+    std::size_t next_release = 0;
+
+    // Stage timestamps per trace job (kNeverSlot = not reached).
+    std::vector<Slot> t_issue, t_vmm, t_arrive;
+    if (config.collect_stage_latencies) {
+      t_issue.assign(trace.size(), kNeverSlot);
+      t_vmm.assign(trace.size(), kNeverSlot);
+      t_arrive.assign(trace.size(), kNeverSlot);
     }
-  };
+    auto stamp = [&](std::vector<Slot>& v, JobId id, Slot now) {
+      if (config.collect_stage_latencies && id.value < v.size())
+        v[id.value] = now;
+    };
 
-  // ---- 4. Slot-level main loop. -------------------------------------------
-  // Pre-size the scratch buffers so the per-slot loop never reallocates.
-  std::vector<InFlight> transit_storage;
-  transit_storage.reserve(64);
-  std::priority_queue<InFlight, std::vector<InFlight>, ArriveLater> transit_q(
-      ArriveLater{}, std::move(transit_storage));
-  std::vector<workload::Job> issued, vmm_done;
-  issued.reserve(num_vms);
-  vmm_done.reserve(num_vms);
-  std::vector<iodev::Completion> completions;
-  completions.reserve(workload::kCaseStudyDeviceCount);
-  std::size_t next_release = 0;
-
-  // Stage timestamps per trace job (kNeverSlot = not reached).
-  std::vector<Slot> t_issue, t_vmm, t_arrive;
-  if (config.collect_stage_latencies) {
-    t_issue.assign(trace.size(), kNeverSlot);
-    t_vmm.assign(trace.size(), kNeverSlot);
-    t_arrive.assign(trace.size(), kNeverSlot);
-  }
-  auto stamp = [&](std::vector<Slot>& v, JobId id, Slot now) {
-    if (config.collect_stage_latencies && id.value < v.size())
-      v[id.value] = now;
-  };
-
-  // Event-driven advance (DESIGN.md §15): the loop body is stepped exactly as
-  // before, but when everything in flight is provably quiescent the cursor
-  // jumps to the next interesting slot (release, transit arrival, or device
-  // wake hint) and the gap is batch-attributed. `config.stepped` pins the
-  // advance to +1, retaining the slot-stepped loop as the reference oracle.
-  // IOGUARD_LINT_ALLOW(LNT009: sanctioned stepped-reference main loop)
-  for (Slot now = 0; now < horizon;) {
-    // (a) releases -> per-VM issue stage (runtime jobs only on I/O-GUARD).
-    while (next_release < trace.size() && trace[next_release].release <= now) {
-      const auto& j = trace[next_release++];
-      const bool pchannel_job = hyp && hyp->pchannel_task(j.task);
-      if (!pchannel_job) issue[j.vm.value].push(j);
-    }
-
-    if (config.collect_profile) {
-      for (std::size_t v = 0; v < num_vms; ++v)
-        if (!issue[v].idle()) ++issue_busy[v];
-      if (vmm && !vmm->idle()) ++vmm_busy;
-    }
-
-    // (b) issue stages emit; requests enter the VMM (RT-XEN) or transit.
-    issued.clear();
-    for (auto& stage : issue) stage.tick_slot(issued);
-    for (const auto& j : issued) {
-      stamp(t_issue, j.id, now);
-      if (vmm) {
-        vmm->push(j, now);
-      } else {
-        transit_q.push(InFlight{now + request_transit.sample(), j});
+    // Event-driven advance (DESIGN.md §15): the loop body is stepped exactly
+    // as before, but when everything in flight is provably quiescent the
+    // cursor jumps to the next interesting slot (release, transit arrival,
+    // or device wake hint) and the gap is batch-attributed. `config.stepped`
+    // pins the advance to +1, retaining the slot-stepped loop as the
+    // reference oracle.
+    // IOGUARD_LINT_ALLOW(LNT009: sanctioned stepped-reference main loop)
+    for (Slot now = 0; now < horizon;) {
+      // (a) releases -> per-VM issue stage (runtime jobs only on I/O-GUARD).
+      while (next_release < trace.size() &&
+             trace[next_release].release <= now) {
+        const auto& j = trace[next_release++];
+        if (!backend.pchannel_task(j.task)) issue[j.vm.value].push(j);
       }
-    }
-    if (vmm) {
-      vmm_done.clear();
-      vmm->tick_slot(now, vmm_done);
-      for (const auto& j : vmm_done) {
-        stamp(t_vmm, j.id, now);
-        transit_q.push(InFlight{now + request_transit.sample(), j});
-      }
-    }
 
-    if (config.collect_profile && !transit_q.empty()) ++transit_busy;
+      if (config.collect_profile) {
+        for (std::size_t v = 0; v < num_vms; ++v)
+          if (!issue[v].idle()) ++issue_busy[v];
+        if (vmm && !vmm->idle()) ++vmm_busy;
+      }
 
-    // (c) arrivals reach the device back-end.
-    while (!transit_q.empty() && transit_q.top().arrival <= now) {
-      const workload::Job j = transit_q.top().job;
-      transit_q.pop();
-      // Interconnect fault surface: a fired kLinkFlitLoss eats the request
-      // packet in transit -- it never reaches the back-end, so the job can
-      // only miss (mirrors a whole-packet drop in the NoC model).
-      if (injector && injector->drop_packet(j.device.value)) {
-        ++result.faults.transit_drops;
-        if (config.trace) {
-          core::TraceEvent ev;
-          ev.slot = now;
-          ev.kind = core::TraceEventKind::kFaultInject;
-          ev.device = j.device;
-          ev.vm = j.vm;
-          ev.task = j.task;
-          ev.job = j.id;
-          ev.aux = static_cast<std::uint32_t>(faults::FaultKind::kLinkFlitLoss);
-          config.trace->record(ev);
-        }
-        continue;
-      }
-      stamp(t_arrive, j.id, now);
-      bool accepted;
-      if (hyp) {
-        accepted = hyp->submit(j, now);
-      } else {
-        accepted = fifos[j.device.value].enqueue(j, now);
-      }
-      if (!accepted) ++result.dropped;  // overflow: job is lost -> miss
-    }
-
-    // (d) device back-ends advance one slot.
-    completions.clear();
-    if (hyp) {
-      hyp->tick_slot(now, completions);
-    } else {
-      for (auto& f : fifos)
-        if (auto done = f.tick_slot(now)) completions.push_back(*done);
-    }
-    for (const auto& done : completions) {
-      const Slot finish = done.completed_at + response_transit.sample();
-      record_completion(done, finish);
-      if (config.collect_stage_latencies &&
-          done.job.id.value < t_issue.size() &&
-          is_critical(done.job.task) &&
-          t_issue[done.job.id.value] != kNeverSlot) {
-        const auto id = done.job.id.value;
-        const Slot issued_at = t_issue[id];
-        result.stage_issue.add(
-            static_cast<double>(issued_at - done.job.release));
-        Slot after_sw = issued_at;
-        if (vmm && t_vmm[id] != kNeverSlot) {
-          result.stage_vmm.add(static_cast<double>(t_vmm[id] - issued_at));
-          after_sw = t_vmm[id];
-        }
-        if (t_arrive[id] != kNeverSlot) {
-          result.stage_transit.add(
-              static_cast<double>(t_arrive[id] - after_sw));
-          result.stage_backend.add(
-              static_cast<double>(done.completed_at - t_arrive[id]));
-        }
-      }
-      if (config.collect_response_times && config.kind != SystemKind::kIoGuard &&
-          is_critical(done.job.task)) {
-        result.response_slots.add(
-            static_cast<double>(finish - done.job.release));
-      }
-    }
-
-    // (e) advance. Default is the next-event jump; it only engages when the
-    // software pipeline is drained (issue stages + VMM idle), so every
-    // skipped slot would have been a provable no-op in the stepped loop:
-    // releases are drained through `now` (a), transit arrivals through `now`
-    // (c), and the back-end wake hints bound the first slot a device could
-    // execute or mutate anything. Skipped slots are batch-attributed as
-    // quiescent so busy + stall + quiescent == horizon still holds exactly.
-    Slot next = now + 1;
-    if (!config.stepped) {
-      bool software_busy = vmm && !vmm->idle();
-      if (!software_busy) {
-        for (const auto& stage : issue) {
-          if (!stage.idle()) {
-            software_busy = true;
-            break;
-          }
-        }
-      }
-      if (!software_busy) {
-        Slot wake = horizon;
-        if (next_release < trace.size())
-          wake = std::min(wake, trace[next_release].release);
-        if (!transit_q.empty()) wake = std::min(wake, transit_q.top().arrival);
-        if (hyp) {
-          wake = std::min(wake, hyp->next_busy_slot(next));
+      // (b) issue stages emit; requests enter the VMM (RT-XEN) or transit.
+      issued.clear();
+      for (auto& stage : issue) stage.tick_slot(issued);
+      for (const auto& j : issued) {
+        stamp(t_issue, j.id, now);
+        if (vmm) {
+          vmm->push(j, now);
         } else {
-          for (const auto& f : fifos)
-            wake = std::min(wake, f.next_busy_slot(next));
-        }
-        if (wake > next) {
-          const Slot skipped = std::min(wake, horizon) - next;
-          // In-flight packets keep the transit stage "busy" for the profiler
-          // even across a jump (their composition cannot change in the gap).
-          if (config.collect_profile && !transit_q.empty())
-            transit_busy += skipped;
-          if (hyp) {
-            hyp->note_skipped_slots(skipped);
-          } else {
-            for (auto& f : fifos) f.note_skipped_slots(skipped);
-          }
-          next += skipped;
+          transit_q.push(InFlight{now + request_transit.sample(), j});
         }
       }
-    }
-    now = next;
-  }
+      if (vmm) {
+        vmm_done.clear();
+        vmm->tick_slot(now, vmm_done);
+        for (const auto& j : vmm_done) {
+          stamp(t_vmm, j.id, now);
+          transit_q.push(InFlight{now + request_transit.sample(), j});
+        }
+      }
 
-  // ---- 5. Tally. -----------------------------------------------------------
-  for (const auto& o : outcomes) {
-    if (!o.counted) continue;
-    ++result.jobs_counted;
-    if (o.on_time) {
-      ++result.jobs_on_time;
-    } else {
-      ++result.misses;
-      ++miss_counts[o.task];
-      if (o.critical) ++result.critical_misses;
-      if (o.hi) ++result.mcs.hi_misses;
-    }
-  }
-  for (std::uint32_t task = 0; task < miss_counts.size(); ++task)
-    if (miss_counts[task] > 0)
-      result.misses_by_task.emplace_back(task, miss_counts[task]);
-  const double seconds =
-      cycles_to_seconds(slots_to_cycles(horizon, cal.cycles_per_slot));
-  result.goodput_bytes_per_s = static_cast<double>(bytes_on_time) / seconds;
+      if (config.collect_profile && !transit_q.empty()) ++transit_busy;
 
-  Slot busy = 0;
-  const std::size_t n_dev = workload::kCaseStudyDeviceCount;
-  if (hyp) {
-    for (std::size_t d = 0; d < n_dev; ++d)
-      busy += hyp->manager(DeviceId{static_cast<std::uint32_t>(d)}).busy_slots();
+      // (c) arrivals reach the device back-end.
+      while (!transit_q.empty() && transit_q.top().arrival <= now) {
+        const workload::Job j = transit_q.top().job;
+        transit_q.pop();
+        // Interconnect fault surface: a fired kLinkFlitLoss eats the request
+        // packet in transit -- it never reaches the back-end, so the job can
+        // only miss (mirrors a whole-packet drop in the NoC model).
+        if (injector && injector->drop_packet(j.device.value)) {
+          ++result.faults.transit_drops;
+          if (config.trace) {
+            core::TraceEvent ev;
+            ev.slot = now;
+            ev.kind = core::TraceEventKind::kFaultInject;
+            ev.device = j.device;
+            ev.vm = j.vm;
+            ev.task = j.task;
+            ev.job = j.id;
+            ev.aux =
+                static_cast<std::uint32_t>(faults::FaultKind::kLinkFlitLoss);
+            config.trace->record(ev);
+          }
+          continue;
+        }
+        stamp(t_arrive, j.id, now);
+        // Overflow: the job is lost -> miss.
+        if (!backend.submit(j, now)) ++result.dropped;
+      }
+
+      // (d) the device back-end advances one slot.
+      completions.clear();
+      backend.tick_slot(now, completions);
+      for (const auto& done : completions) {
+        record_completion(done.job,
+                          done.completed_at + response_transit.sample());
+        if (config.collect_stage_latencies &&
+            done.job.id.value < t_issue.size() &&
+            is_critical(done.job.task) &&
+            t_issue[done.job.id.value] != kNeverSlot) {
+          const auto id = done.job.id.value;
+          const Slot issued_at = t_issue[id];
+          result.stage_issue.add(
+              static_cast<double>(issued_at - done.job.release));
+          Slot after_sw = issued_at;
+          if (vmm && t_vmm[id] != kNeverSlot) {
+            result.stage_vmm.add(static_cast<double>(t_vmm[id] - issued_at));
+            after_sw = t_vmm[id];
+          }
+          if (t_arrive[id] != kNeverSlot) {
+            result.stage_transit.add(
+                static_cast<double>(t_arrive[id] - after_sw));
+            result.stage_backend.add(
+                static_cast<double>(done.completed_at - t_arrive[id]));
+          }
+        }
+      }
+
+      // (e) advance. Default is the next-event jump; it only engages when
+      // the software pipeline is drained (issue stages + VMM idle), so every
+      // skipped slot would have been a provable no-op in the stepped loop:
+      // releases are drained through `now` (a), transit arrivals through
+      // `now` (c), and the back-end wake hint bounds the first slot a device
+      // could execute or mutate anything. Skipped slots are batch-attributed
+      // as quiescent so busy + stall + quiescent == horizon still holds
+      // exactly.
+      Slot next = now + 1;
+      if (!config.stepped) {
+        bool software_busy = vmm && !vmm->idle();
+        if (!software_busy) {
+          for (const auto& stage : issue) {
+            if (!stage.idle()) {
+              software_busy = true;
+              break;
+            }
+          }
+        }
+        if (!software_busy) {
+          Slot wake = horizon;
+          if (next_release < trace.size())
+            wake = std::min(wake, trace[next_release].release);
+          if (!transit_q.empty())
+            wake = std::min(wake, transit_q.top().arrival);
+          wake = std::min(wake, backend.next_busy_slot(next));
+          if (wake > next) {
+            const Slot skipped = std::min(wake, horizon) - next;
+            // In-flight packets keep the transit stage "busy" for the
+            // profiler even across a jump (their composition cannot change
+            // in the gap).
+            if (config.collect_profile && !transit_q.empty())
+              transit_busy += skipped;
+            backend.note_skipped_slots(skipped);
+            next += skipped;
+          }
+        }
+      }
+      now = next;
+    }
+
+    // ---- 4. Tally. ---------------------------------------------------------
+    for (const auto& o : outcomes) {
+      if (!o.counted) continue;
+      ++result.jobs_counted;
+      if (o.on_time) {
+        ++result.jobs_on_time;
+      } else {
+        ++result.misses;
+        ++miss_counts[o.task];
+        if (o.critical) ++result.critical_misses;
+        if (o.hi) ++result.mcs.hi_misses;
+      }
+    }
+    for (std::uint32_t task = 0; task < miss_counts.size(); ++task)
+      if (miss_counts[task] > 0)
+        result.misses_by_task.emplace_back(task, miss_counts[task]);
+    const double seconds =
+        cycles_to_seconds(slots_to_cycles(horizon, cal.cycles_per_slot));
+    result.goodput_bytes_per_s = static_cast<double>(bytes_on_time) / seconds;
+
+    const std::size_t n_dev = workload::kCaseStudyDeviceCount;
+    auto device = [&](std::size_t d) -> const auto& {
+      return backend.manager(DeviceId{static_cast<std::uint32_t>(d)});
+    };
+    Slot busy = 0;
+    for (std::size_t d = 0; d < n_dev; ++d) busy += device(d).busy_slots();
+    result.device_busy_frac = static_cast<double>(busy) /
+                              static_cast<double>(horizon * n_dev);
+
+    // The loop counted its own transit drops; the back-end's counters join
+    // them, and the injector knows how many faults fired.
+    if (injector) {
+      result.faults += backend.fault_counters();
+      result.faults.injected_total = injector->total_injected();
+    }
+
+    // ---- 5. Profile harvest (DESIGN.md §14). ------------------------------
+    if (config.collect_profile) {
+      auto add = [&](std::string name, std::uint64_t busy_n,
+                     std::uint64_t stall_n, std::uint64_t quiescent_n) {
+        result.profile.push_back(
+            ComponentProfile{std::move(name), busy_n, stall_n, quiescent_n});
+      };
+      for (std::size_t v = 0; v < num_vms; ++v)
+        add("issue_vm" + std::to_string(v), issue_busy[v], 0,
+            horizon - issue_busy[v]);
+      if (vmm) add("vmm", vmm_busy, 0, horizon - vmm_busy);
+      add("transit", transit_busy, 0, horizon - transit_busy);
+      for (std::size_t d = 0; d < n_dev; ++d)
+        add(device_row(backend) + std::to_string(d), device(d).busy_slots(),
+            device(d).profile_stall_slots(),
+            device(d).profile_quiescent_slots());
+    }
+    if (config.metrics) fill_device_metrics(*config.metrics, backend);
+  };
+
+  if (config.kind == SystemKind::kIoGuard) {
+    core::HypervisorConfig hc = hypervisor_config(cal, num_vms);
+    hc.policy = config.gsched_policy;
+    hc.injector = injector.get();
+    hc.resilience = config.resilience;
+    hc.mode_switch = config.mode_switch;
+    core::Hypervisor hyp(wl, hc);
+    result.admitted = hyp.fully_admitted();
+    if (config.trace) hyp.set_tracer(config.trace);
+    // Event-driven mode skips provably-quiescent managers inside tick_slot
+    // too (per-device wake calendar) -- the cursor jump only helps when
+    // *every* device sleeps at once.
+    if (!config.stepped) hyp.set_slot_skipping(true);
+
+    // Flight recorder (I/O-GUARD back-end only): observes the trace ring; a
+    // trial without an attached trace gets a private ring just for it.
+    std::unique_ptr<core::EventTrace> flight_ring_storage;
+    std::unique_ptr<telemetry::FlightRecorder> flight;
+    core::EventTrace* flight_ring = nullptr;
+    if (!config.flight_dir.empty()) {
+      flight_ring = config.trace;
+      if (flight_ring == nullptr) {
+        flight_ring_storage = std::make_unique<core::EventTrace>(4096);
+        hyp.set_tracer(flight_ring_storage.get());
+        flight_ring = flight_ring_storage.get();
+      }
+      telemetry::FlightRecorderConfig fr;
+      fr.dir = config.flight_dir;
+      fr.stem = config.flight_stem;
+      fr.last_n = config.flight_last_n;
+      fr.max_dumps = config.flight_max_dumps;
+      flight = std::make_unique<telemetry::FlightRecorder>(std::move(fr));
+      flight->set_state_writer(
+          [&hyp](std::ostream& os) { hyp.dump_scheduler_state(os); });
+      flight_ring->set_observer(flight.get());
+    }
+
+    drive(hyp);
+
+    // Mixed-criticality harvest (DESIGN.md §17); the controller exists only
+    // when the feature was enabled.
+    if (const core::ModeController* mc = hyp.mode_controller()) {
+      result.mcs.switches_to_hi = mc->switches_to_hi();
+      result.mcs.recoveries = mc->recoveries();
+      result.mcs.propagated = mc->propagated_switches();
+      result.mcs.overruns_observed = mc->overruns_observed();
+      result.mcs.lo_jobs_shed = hyp.mode_jobs_shed();
+      result.mcs.lo_rejected = hyp.lo_mode_rejected();
+      result.mcs.hi_vms_at_end = mc->hi_vms();
+      for (const Slot latency : mc->switch_latencies())
+        result.mcs.switch_latency_slots.add(static_cast<double>(latency));
+    }
+    if (flight_ring != nullptr) {
+      flight_ring->set_observer(nullptr);
+      result.flight_dumps = flight->dumps_written();
+    }
   } else {
-    for (const auto& f : fifos) busy += f.busy_slots();
-  }
-  result.device_busy_frac = static_cast<double>(busy) /
-                            static_cast<double>(horizon * n_dev);
-
-  if (injector) {
-    result.faults.injected_total = injector->total_injected();
-    if (hyp) {
-      result.faults.watchdog_aborts = hyp->watchdog_aborts();
-      result.faults.retries = hyp->retries_scheduled();
-      result.faults.retries_exhausted = hyp->retries_exhausted();
-      result.faults.max_retry_attempt = hyp->max_retry_attempt();
-      result.faults.jobs_shed = hyp->jobs_shed();
-      result.faults.degraded_vms = hyp->degraded_vms();
-      result.faults.frame_faults = hyp->frame_faults();
-      result.faults.stalled_slots = hyp->stalled_slots();
-      result.faults.spurious_irq_slots = hyp->spurious_irq_slots();
-    }
-    for (const auto& f : fifos) {
-      result.faults.fifo_frames_lost += f.frames_lost();
-      result.faults.fifo_stalled_slots += f.stalled_slots();
-    }
-  }
-
-  // Mixed-criticality harvest (DESIGN.md §17); the controller exists only
-  // when the feature was enabled on an I/O-GUARD trial.
-  if (hyp && hyp->mode_controller() != nullptr) {
-    const core::ModeController& mc = *hyp->mode_controller();
-    result.mcs.switches_to_hi = mc.switches_to_hi();
-    result.mcs.recoveries = mc.recoveries();
-    result.mcs.propagated = mc.propagated_switches();
-    result.mcs.overruns_observed = mc.overruns_observed();
-    result.mcs.lo_jobs_shed = hyp->mode_jobs_shed();
-    result.mcs.lo_rejected = hyp->lo_mode_rejected();
-    result.mcs.hi_vms_at_end = mc.hi_vms();
-    for (const Slot latency : mc.switch_latencies())
-      result.mcs.switch_latency_slots.add(static_cast<double>(latency));
+    iodev::FifoBank fifos = fifo_bank(cal, injector.get());
+    drive(fifos);
   }
 
   // ---- 6. Observability harvest (DESIGN.md §14). -------------------------
   if (jitter) result.jitter = jitter->harvest();
-  if (config.collect_profile) {
-    auto add = [&](std::string name, std::uint64_t busy_n,
-                   std::uint64_t stall_n, std::uint64_t quiescent_n) {
-      result.profile.push_back(
-          ComponentProfile{std::move(name), busy_n, stall_n, quiescent_n});
-    };
-    for (std::size_t v = 0; v < num_vms; ++v)
-      add("issue_vm" + std::to_string(v), issue_busy[v], 0,
-          horizon - issue_busy[v]);
-    if (vmm) add("vmm", vmm_busy, 0, horizon - vmm_busy);
-    add("transit", transit_busy, 0, horizon - transit_busy);
-    if (hyp) {
-      for (std::size_t d = 0; d < n_dev; ++d) {
-        const auto& vm = hyp->manager(DeviceId{static_cast<std::uint32_t>(d)});
-        add("device" + std::to_string(d), vm.busy_slots(),
-            vm.profile_stall_slots(), vm.profile_quiescent_slots());
-      }
-    } else {
-      for (std::size_t d = 0; d < fifos.size(); ++d)
-        add("fifo" + std::to_string(d), fifos[d].busy_slots(),
-            fifos[d].profile_stall_slots(), fifos[d].profile_quiescent_slots());
-    }
-  }
-  if (flight_ring != nullptr) {
-    flight_ring->set_observer(nullptr);
-    result.flight_dumps = flight->dumps_written();
-  }
-
   if (config.metrics) {
-    fill_metrics(*config.metrics, config, result, hyp.get(), fifos);
+    fill_metrics(*config.metrics, config, result);
     fill_observability_metrics(*config.metrics, config, result);
     if (config.mode_switch.enabled)
       fill_mode_metrics(*config.metrics, result);
@@ -863,7 +837,7 @@ void write_trial_summary_json(std::ostream& os, const TrialConfig& config,
   if (!config.faults.empty()) {
     put_key(a, "fault_plan").put_char('"')
         .put_json_escaped(config.faults.spec_string()).put("\",\n");
-    const FaultCounters& fc = result.faults;
+    const faults::FaultCounters& fc = result.faults;
     put_int_fields(put_key(a, "faults"),
                    {{"injected", fc.injected_total},
                     {"watchdog_aborts", fc.watchdog_aborts},

@@ -865,7 +865,7 @@ TEST_F(VerifyCheckpointTest, OlderFormatIsCkp001NamingBothFormats) {
   frame += payload;
   w.put_u32(crc32(payload));
   write_bytes(ck, frame);
-  ASSERT_TRUE(inspect_checkpoint(ck).corrupt);
+  ASSERT_FALSE(inspect_checkpoint(ck).corruption.empty());
   mark_manifest_v2(ck);
   analysis::Report report;
   analysis::verify_checkpoint(inspect_checkpoint(ck), test_meta().fingerprint,
@@ -878,6 +878,59 @@ TEST_F(VerifyCheckpointTest, OlderFormatIsCkp001NamingBothFormats) {
                            "reads ioguard-checkpoint-v3"),
             std::string::npos)
       << d.message;
+}
+
+TEST_F(VerifyCheckpointTest, CorruptJournalIsCkp001NamingTheFailure) {
+  // One record with a P-channel histogram holding the value 5, so a bucket
+  // index can be rewritten (as in JournalTest's histogram case).
+  TrialResult result;
+  result.jitter.collected = true;
+  result.jitter.p_by_vm.resize(1);
+  result.jitter.p_by_vm[0].record(5);
+  const std::string ck = path("ck.bin");
+  {
+    auto j = CheckpointJournal::open(ck, test_meta(), false);
+    ASSERT_TRUE(j.ok());
+    ASSERT_TRUE((*j)->append(1, 0, false, result, nullptr).ok());
+  }
+  const std::string good = read_bytes(ck);
+  const auto ckp001 = [&](const std::string& bytes) {
+    write_bytes(ck, bytes);
+    analysis::Report report;
+    analysis::verify_checkpoint(inspect_checkpoint(ck),
+                                test_meta().fingerprint, report);
+    EXPECT_FALSE(report.ok());
+    EXPECT_EQ(report.diagnostics().size(), 1u);
+    if (report.diagnostics().empty()) return std::string();
+    EXPECT_EQ(report.diagnostics()[0].code,
+              analysis::DiagCode::kCkpStaleManifest);
+    return report.diagnostics()[0].message;
+  };
+  {
+    std::string bytes = good;
+    bytes[bytes.size() - 1] ^= 0x01;  // the first frame's stored CRC
+    const std::string message = ckp001(bytes);
+    EXPECT_NE(message.find("CRC mismatch in record 0"), std::string::npos)
+        << message;
+  }
+  {
+    // A CRC-valid frame whose payload does not decode: bucket index 200.
+    std::string block;
+    ByteWriter w(&block);
+    for (const std::uint64_t v : {1u, 5u, 5u, 0u}) w.put_u64(v);
+    w.put_u8(1);
+    w.put_u8(5);
+    const std::size_t at = good.find(block);
+    ASSERT_NE(at, std::string::npos);
+    std::string bytes = good;
+    bytes[at + 33] = static_cast<char>(200);
+    reseal_first_frame(bytes);
+    const std::string message = ckp001(bytes);
+    EXPECT_NE(message.find("payload is malformed"), std::string::npos)
+        << message;
+    EXPECT_EQ(message.find("checksum"), std::string::npos) << message;
+    EXPECT_EQ(message.find("CRC"), std::string::npos) << message;
+  }
 }
 
 TEST_F(VerifyCheckpointTest, FingerprintMismatchIsCkp002) {
@@ -936,7 +989,7 @@ TEST_F(VerifyCheckpointTest, TruncatedTailIsInformationalOnly) {
   fs::resize_file(ck, fs::file_size(ck) - 3);
   const CheckpointFacts facts = inspect_checkpoint(ck);
   EXPECT_TRUE(facts.truncated_tail);
-  EXPECT_FALSE(facts.corrupt);
+  EXPECT_TRUE(facts.corruption.empty());
   EXPECT_EQ(facts.records, 1u);
   analysis::Report report;
   analysis::verify_checkpoint(facts, test_meta().fingerprint, report);
