@@ -68,8 +68,9 @@ void BM_GschedPick(benchmark::State& state) {
     shadows[i].valid = true;
     shadows[i].absolute_deadline = rng.uniform_int(1, 1 << 20);
   }
+  const std::uint64_t all = vms == 64 ? ~0ULL : (1ULL << vms) - 1;
   Slot now = 0;
-  for (auto _ : state) benchmark::DoNotOptimize(g.pick(now++, shadows));
+  for (auto _ : state) benchmark::DoNotOptimize(g.pick(now++, shadows, all));
 }
 BENCHMARK(BM_GschedPick)->Arg(4)->Arg(16)->Arg(64);
 

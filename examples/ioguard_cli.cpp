@@ -19,6 +19,7 @@
 
 #include "analysis/artifact_builder.hpp"
 #include "analysis/verify_checkpoint.hpp"
+#include "analysis/verify_config.hpp"
 #include "analysis/verify_resilience.hpp"
 #include "common/atomic_file.hpp"
 #include "common/checksum.hpp"
@@ -242,7 +243,20 @@ Status run(const CliArgs& args) {
     vcfg.preload_fraction = preload;
     vcfg.mixed_criticality = criticality;
     vcfg = seed_trial(kind, vcfg, seed_of(0)).workload;  // trial 0's
-    auto report = analysis::verify_case_study(vcfg, trials, min_jobs);
+    analysis::Report report;
+    if (kind == SystemKind::kIoGuard) {
+      report = analysis::verify_case_study(vcfg, trials, min_jobs);
+    } else {
+      // The baselines build no Time Slot Table and no servers, so there is
+      // no admission to verify: only the platform, the knobs and the tasks.
+      analysis::PlatformSpec platform;
+      platform.device_count = workload::kCaseStudyDeviceCount;
+      const analysis::ExperimentSpec experiment{
+          vcfg.num_vms, vcfg.target_utilization, vcfg.preload_fraction,
+          trials, min_jobs};
+      analysis::verify_config(platform, experiment,
+                              workload::build_case_study(vcfg).tasks, report);
+    }
     analysis::verify_resilience(plan, resilience, report);
     if (resume) {
       // CKP001-CKP004: the checkpoint pair must be consistent and match

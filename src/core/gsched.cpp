@@ -1,6 +1,7 @@
 #include "core/gsched.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <tuple>
 
 #include "common/check.hpp"
@@ -9,11 +10,14 @@ namespace ioguard::core {
 
 GSched::GSched(std::vector<sched::ServerParams> servers, GschedPolicy policy)
     : servers_(std::move(servers)), state_(servers_.size()), policy_(policy) {
+  IOGUARD_CHECK_MSG(servers_.size() <= 64,
+                    "G-Sched candidates are a 64-bit VM mask");
   for (std::size_t i = 0; i < servers_.size(); ++i) {
     IOGUARD_CHECK(servers_[i].pi > 0);
     IOGUARD_CHECK(servers_[i].theta <= servers_[i].pi);
     state_[i].budget = servers_[i].theta;
     state_[i].next_replenish = servers_[i].pi;
+    next_boundary_ = std::min(next_boundary_, servers_[i].pi);
   }
 }
 
@@ -31,18 +35,25 @@ void GSched::set_server(std::size_t i, const sched::ServerParams& params) {
 }
 
 void GSched::replenish(Slot now) {
+  if (now < next_boundary_) return;  // no server's period ended yet
+  Slot boundary = kNeverSlot;
   for (std::size_t i = 0; i < servers_.size(); ++i) {
-    // Catch up all period boundaries at or before `now` (grants happen only
-    // through pick(), which is called every free slot, so usually one step).
-    while (now >= state_[i].next_replenish) {
-      state_[i].budget = servers_[i].theta;
-      state_[i].next_replenish += servers_[i].pi;
+    // Catch up every period boundary at or before `now` at once: a skipped
+    // stretch may span several periods, and the budget refills either way.
+    ServerState& s = state_[i];
+    if (now >= s.next_replenish) {
+      const Slot pi = servers_[i].pi;
+      s.next_replenish += ((now - s.next_replenish) / pi + 1) * pi;
+      s.budget = servers_[i].theta;
     }
+    boundary = std::min(boundary, s.next_replenish);
   }
+  next_boundary_ = boundary;
 }
 
 std::optional<std::size_t> GSched::pick(
-    Slot now, const std::vector<ShadowRegister>& shadows) {
+    Slot now, const std::vector<ShadowRegister>& shadows,
+    std::uint64_t candidates) {
   IOGUARD_CHECK(shadows.size() == servers_.size());
   replenish(now);
 
@@ -65,8 +76,9 @@ std::optional<std::size_t> GSched::pick(
   // The running winner's key is cached so each candidate costs one key
   // computation, not two (pick() runs once per free slot per device).
   std::tuple<Slot, Slot, Slot> best_key{};
-  for (std::size_t i = 0; i < shadows.size(); ++i) {
-    if (!shadows[i].valid) continue;
+  for (std::uint64_t m = candidates; m != 0; m &= m - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(m));
+    IOGUARD_DCHECK(i < shadows.size() && shadows[i].valid);
     if (policy_ != GschedPolicy::kGlobalEdfNoBudget &&
         state_[i].budget == 0)
       continue;
@@ -89,8 +101,8 @@ std::optional<std::size_t> GSched::pick(
   // Slack reclamation: no budgeted candidate, but the slot would otherwise
   // idle -- hand it to the earliest-deadline pending operation for free.
   Slot best_deadline = kNeverSlot;
-  for (std::size_t i = 0; i < shadows.size(); ++i) {
-    if (!shadows[i].valid) continue;
+  for (std::uint64_t m = candidates; m != 0; m &= m - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(m));
     if (!best || shadows[i].absolute_deadline < best_deadline) {
       best = i;
       best_deadline = shadows[i].absolute_deadline;

@@ -35,14 +35,18 @@ class GSched {
          GschedPolicy policy = GschedPolicy::kServerEdf);
 
   /// Picks the VM index to receive free slot `now`, among pools whose shadow
-  /// register holds a pending operation. nullopt = slot stays idle.
+  /// register holds a pending operation: bit i of `candidates` is set iff
+  /// `shadows[i].valid` (the shadow valid bits the hardware's comparator
+  /// tree reads; candidates are visited in ascending VM order, so ties
+  /// break as a scan of every VM would). nullopt = slot stays idle.
   /// Budget accounting (replenish at period boundaries, consume on grant)
   /// happens inside. Slots no budgeted candidate wants are reclaimed: the
   /// earliest-deadline pending shadow receives the slot without consuming
   /// budget (work-conserving slack reclamation; each VM's Theta-per-Pi
   /// guarantee is a minimum and is unaffected).
   std::optional<std::size_t> pick(Slot now,
-                                  const std::vector<ShadowRegister>& shadows);
+                                  const std::vector<ShadowRegister>& shadows,
+                                  std::uint64_t candidates);
 
   [[nodiscard]] const std::vector<sched::ServerParams>& servers() const {
     return servers_;
@@ -67,6 +71,16 @@ class GSched {
     return state_.at(i).slack_granted;
   }
 
+  /// Next period boundary (budget replenishment) of VM index `i`.
+  [[nodiscard]] Slot next_replenish(std::size_t i) const {
+    return state_.at(i).next_replenish;
+  }
+
+  /// The earliest of every server's next boundary, kept so that pick()
+  /// replenishes nothing, in O(1), before it. The dense path checks it
+  /// against the minimum of next_replenish() every slot.
+  [[nodiscard]] Slot next_boundary() const { return next_boundary_; }
+
  private:
   struct ServerState {
     Slot budget = 0;
@@ -79,6 +93,7 @@ class GSched {
 
   std::vector<sched::ServerParams> servers_;
   std::vector<ServerState> state_;
+  Slot next_boundary_ = kNeverSlot;  ///< min over state_[i].next_replenish
   GschedPolicy policy_;
 };
 

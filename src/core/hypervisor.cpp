@@ -195,7 +195,7 @@ void Hypervisor::set_slot_skipping(bool on) {
 void Hypervisor::tick_slot(Slot now, std::vector<iodev::Completion>& out) {
   if (!skip_idle_) {
     for (auto& m : managers_) m->tick_slot(now, out);
-    advance_mode(now);
+    if (mode_ != nullptr) advance_mode(now);
     return;
   }
   // Calendar path: a manager whose wake hint is still in the future would
@@ -210,11 +210,10 @@ void Hypervisor::tick_slot(Slot now, std::vector<iodev::Completion>& out) {
     managers_[d]->tick_slot(now, out);
     wake_[d] = managers_[d]->next_busy_slot(now + 1);
   }
-  advance_mode(now);
+  if (mode_ != nullptr) advance_mode(now);
 }
 
 void Hypervisor::advance_mode(Slot now) {
-  if (mode_ == nullptr) return;
   mode_to_hi_.clear();
   mode_to_lo_.clear();
   mode_->advance(now, mode_to_hi_, mode_to_lo_);

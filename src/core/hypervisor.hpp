@@ -168,7 +168,7 @@ class Hypervisor {
 
  private:
   /// Applies pending LO->HI switches and due recoveries for slot `now`
-  /// across every device manager (no-op without a mode controller).
+  /// across every device manager (called only with a mode controller).
   void advance_mode(Slot now);
 
   std::vector<std::unique_ptr<VirtManager>> managers_;  // index = DeviceId

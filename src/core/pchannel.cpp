@@ -24,13 +24,15 @@ PChannel::PChannel(workload::TaskSet predefined, sched::TimeSlotTable table)
     if (raw[s] != sched::TimeSlotTable::kFree) reserved_in_period_.push_back(s);
 }
 
-Slot PChannel::next_reserved_slot(Slot from) const {
+Slot PChannel::next_reserved_after(Slot from, Slot phase) const {
   if (reserved_in_period_.empty()) return kNeverSlot;
-  const Slot phase = phase_of(from);
-  if (table_.raw()[phase] != sched::TimeSlotTable::kFree) return from;
   const Slot hp = table_.hyperperiod();
+  const auto& raw = table_.raw();
+  const Slot scan_end = std::min(hp, phase + 1 + kScanSlots);
+  for (Slot p = phase + 1; p < scan_end; ++p)
+    if (raw[p] != sched::TimeSlotTable::kFree) return from + (p - phase);
   const auto it = std::lower_bound(reserved_in_period_.begin(),
-                                   reserved_in_period_.end(), phase);
+                                   reserved_in_period_.end(), scan_end);
   if (it != reserved_in_period_.end()) return from + (*it - phase);
   // Wrap: the next reservation is the first one of the following period.
   return from + (hp - phase) + reserved_in_period_.front();
@@ -69,14 +71,8 @@ void PChannel::set_jitter_recorder(JitterRecorder* recorder) {
   }
 }
 
-std::optional<iodev::Completion> PChannel::execute_slot(Slot now,
-                                                        bool& slot_used) {
-  slot_used = false;
-  cursor_phase_ = phase_of(now);
-  cursor_slot_ = now;
-  const std::uint32_t occupant = table_.raw()[cursor_phase_];
-  if (occupant == sched::TimeSlotTable::kFree) return std::nullopt;
-
+std::optional<iodev::Completion> PChannel::execute_reserved(
+    Slot now, std::uint32_t occupant, bool& slot_used) {
   const std::uint32_t idx =
       occupant < run_of_task_.size() ? run_of_task_[occupant] : kNoRun;
   IOGUARD_CHECK_MSG(idx != kNoRun, "table references unknown task");

@@ -28,8 +28,16 @@ class PChannel {
   /// Executes slot `now` if the table reserves it for a pre-defined task.
   /// Returns the completion when this slot finishes a job. Returns nullopt
   /// (and consumes nothing) on free slots -- the caller then offers the slot
-  /// to the R-channel.
-  std::optional<iodev::Completion> execute_slot(Slot now, bool& slot_used);
+  /// to the R-channel. The free-slot path is inline: it only moves the
+  /// cursor and reads the table.
+  std::optional<iodev::Completion> execute_slot(Slot now, bool& slot_used) {
+    slot_used = false;
+    cursor_phase_ = phase_of(now);
+    cursor_slot_ = now;
+    const std::uint32_t occupant = table_.raw()[cursor_phase_];
+    if (occupant == sched::TimeSlotTable::kFree) return std::nullopt;
+    return execute_reserved(now, occupant, slot_used);
+  }
 
   /// Is absolute slot `now` free for the R-channel?
   [[nodiscard]] bool slot_is_free(Slot now) const {
@@ -39,11 +47,16 @@ class PChannel {
   /// Earliest absolute slot >= `from` that sigma* reserves (kNeverSlot when
   /// the table is all-free). Wake hint for the event-driven runner: between
   /// reserved slots an otherwise-idle channel executes nothing, so those
-  /// slots can be skipped and batch-attributed. Answered at once when `from`
-  /// itself is reserved; otherwise a binary search over the sorted
-  /// within-hyperperiod reservation list keeps this O(log H) without
-  /// materializing a per-slot array (hyperperiods reach 2^24 slots).
-  [[nodiscard]] Slot next_reserved_slot(Slot from) const;
+  /// slots can be skipped and batch-attributed. Answered inline when `from`
+  /// itself is reserved; otherwise the next kScanSlots table entries are
+  /// read, and then a binary search over the sorted within-hyperperiod
+  /// reservation list keeps this O(log H) without materializing a per-slot
+  /// array (hyperperiods reach 2^24 slots).
+  [[nodiscard]] Slot next_reserved_slot(Slot from) const {
+    const Slot phase = phase_of(from);
+    if (table_.raw()[phase] != sched::TimeSlotTable::kFree) return from;
+    return next_reserved_after(from, phase);
+  }
 
   /// The table cursor: phase within the hyperperiod of the slot executed
   /// last. execute_slot advances it by one per slot, wrapping once per
@@ -75,6 +88,17 @@ class PChannel {
     Slot remaining = 0;      ///< slots left of the in-flight job (0 = none)
     std::uint32_t jobs_started = 0;
   };
+
+  /// The reserved-slot path of execute_slot: `occupant` holds slot `now`.
+  std::optional<iodev::Completion> execute_reserved(Slot now,
+                                                    std::uint32_t occupant,
+                                                    bool& slot_used);
+  /// next_reserved_slot when `from` (at `phase`) is free.
+  [[nodiscard]] Slot next_reserved_after(Slot from, Slot phase) const;
+  /// Table entries next_reserved_after reads before its binary search: the
+  /// free stretches of a dense table are shorter, and the entries share
+  /// the cache lines the cursor has just read.
+  static constexpr Slot kScanSlots = 16;
 
   /// Phase of absolute slot `t`: read off the cursor when `t` is the slot
   /// executed last or the one after it, else `t % H`.

@@ -1,6 +1,7 @@
 #include "core/vmanager.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
 
@@ -45,6 +46,8 @@ VirtManager::VirtManager(iodev::DeviceSpec device,
       resilience_(config.resilience),
       dispatch_overhead_(config.dispatch_overhead_slots) {
   IOGUARD_CHECK(config.num_vms > 0);
+  IOGUARD_CHECK_MSG(config.num_vms <= 64,
+                    "the R-channel's VM masks hold at most 64 VMs");
   IOGUARD_CHECK_MSG(gsched_->servers().size() == config.num_vms,
                     "one server per VM required");
   pools_.reserve(config.num_vms);
@@ -53,7 +56,9 @@ VirtManager::VirtManager(iodev::DeviceSpec device,
         VmId{static_cast<std::uint32_t>(i)}, config.pool_capacity,
         config.dispatch_overhead_slots));
   shadow_snapshot_.resize(config.num_vms);
-  shadow_dirty_.resize(config.num_vms, 1);
+  all_vms_ = config.num_vms == 64 ? ~std::uint64_t{0}
+                                  : (std::uint64_t{1} << config.num_vms) - 1;
+  dirty_mask_ = all_vms_;
   last_exposed_.resize(config.num_vms);
   vm_fault_counts_.resize(config.num_vms, 0);
   vm_degraded_.resize(config.num_vms, 0);
@@ -108,7 +113,7 @@ bool VirtManager::submit(const workload::Job& job, Slot now) {
   if (mode_ != nullptr && request_cycles > request_translator_.wcet())
     mode_->note_budget_overrun(job.vm, now);
   const bool accepted = pools_[job.vm.value]->submit(job);
-  if (accepted) shadow_dirty_[job.vm.value] = 1;
+  if (accepted) queue_changed(job.vm.value);
   trace(now, accepted ? TraceEventKind::kSubmit : TraceEventKind::kDrop,
         job.vm, job.task, job.id);
   return accepted;
@@ -156,7 +161,7 @@ void VirtManager::begin_tick_faults(Slot now) {
 
 void VirtManager::abort_active(Slot now) {
   const ParamSlot p = pools_[active_vm_]->abort(active_handle_);
-  shadow_dirty_[active_vm_] = 1;
+  queue_changed(active_vm_);
   trace(now, TraceEventKind::kWatchdogAbort, p.vm, p.task, p.job,
         clamp_aux(stall_watch_));
   ++faults_.watchdog_aborts;
@@ -211,7 +216,7 @@ void VirtManager::note_vm_fault(VmId vm, Slot now) {
   vm_degraded_[i] = 1;
   ++faults_.degraded_vms;
   const std::size_t shed = pools_[i]->shed_all();
-  shadow_dirty_[i] = 1;
+  queue_changed(i);
   faults_.jobs_shed += shed;
   // Pending retries of the degraded VM are shed with the queue.
   std::size_t kept = 0;
@@ -233,64 +238,69 @@ void VirtManager::set_jitter_recorder(JitterRecorder* recorder) {
   pchannel_->set_jitter_recorder(recorder);
 }
 
-bool VirtManager::rchannel_work_pending() const {
-  if (active_valid_ || !retry_queue_.empty()) return true;
-  for (const auto& pool : pools_)
-    if (pool->has_pending()) return true;
-  return false;
-}
-
-void VirtManager::tick_slot(Slot now, std::vector<iodev::Completion>& out) {
-  // The impl classifies what the slot was spent on; busy slots count
-  // themselves at the point of use (busy_slots_), so the three counters
-  // always partition the ticks exactly.
-  switch (tick_slot_impl(now, out)) {
-    case SlotUse::kBusy:
-      break;
-    case SlotUse::kStall:
-      ++profile_stall_slots_;
-      break;
-    case SlotUse::kQuiescent:
-      ++profile_quiescent_slots_;
-      break;
-  }
-}
-
 void VirtManager::refresh_shadows(Slot now) {
+  const std::uint64_t dirty = dirty_mask_;
+  dirty_mask_ = 0;
+  for (std::uint64_t m = dirty; m != 0; m &= m - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(m));
+    pools_[i]->refresh_shadow();
+    const ShadowRegister& shadow = shadow_snapshot_[i] = pools_[i]->shadow();
+    if (shadow.valid)
+      valid_mask_ |= std::uint64_t{1} << i;
+    else
+      valid_mask_ &= ~(std::uint64_t{1} << i);
+    // Edge-trigger a kShadowExpose whenever the exposed job changes (the
+    // L-Sched latching a new head into the shadow register).
+    if (tracer_ && shadow.valid && shadow.job != last_exposed_[i]) {
+      last_exposed_[i] = shadow.job;
+      trace(now, TraceEventKind::kShadowExpose, shadow.vm, shadow.task,
+            shadow.job);
+    }
+  }
+  if (check_bookkeeping_) check_shadows(now, dirty);
+}
+
+std::string VirtManager::where(std::size_t vm, Slot now) const {
+  return " on device " + device_.name + " (site " +
+         std::to_string(fault_site_) + "), VM " + std::to_string(vm) +
+         ", slot " + std::to_string(now);
+}
+
+void VirtManager::check_shadows(Slot now, std::uint64_t refreshed) {
   for (std::size_t i = 0; i < pools_.size(); ++i) {
-    if (shadow_dirty_[i] == 0) {
-      if (!check_bookkeeping_) continue;
+    if ((refreshed >> i & 1) == 0) {
       // A pool's head moves only where its queue changes, and each such
       // point marks it dirty; recompute anyway and prove the kept copy.
       pools_[i]->refresh_shadow();
-      IOGUARD_CHECK_MSG(
-          same_shadow(pools_[i]->shadow(), shadow_snapshot_[i]),
-          "stale L-Sched shadow on device " + device_.name + " (site " +
-              std::to_string(fault_site_) + "), VM " + std::to_string(i) +
-              ", slot " + std::to_string(now) +
-              ": its queue changed without a dirty mark");
-      continue;
+      IOGUARD_CHECK_MSG(same_shadow(pools_[i]->shadow(), shadow_snapshot_[i]),
+                        "stale L-Sched shadow" + where(i, now) +
+                            ": its queue changed without a dirty mark");
     }
-    shadow_dirty_[i] = 0;
-    pools_[i]->refresh_shadow();
-    shadow_snapshot_[i] = pools_[i]->shadow();
-    // Edge-trigger a kShadowExpose whenever the exposed job changes (the
-    // L-Sched latching a new head into the shadow register).
-    if (tracer_ && shadow_snapshot_[i].valid &&
-        shadow_snapshot_[i].job != last_exposed_[i]) {
-      last_exposed_[i] = shadow_snapshot_[i].job;
-      trace(now, TraceEventKind::kShadowExpose, shadow_snapshot_[i].vm,
-            shadow_snapshot_[i].task, shadow_snapshot_[i].job);
-    }
+    IOGUARD_CHECK_MSG((valid_mask_ >> i & 1) == (shadow_snapshot_[i].valid),
+                      "stale G-Sched candidate bit" + where(i, now) +
+                          ": it disagrees with the shadow's valid bit");
   }
 }
 
-void VirtManager::check_cursor(Slot now) const {
-  IOGUARD_CHECK_EQ_MSG(
-      pchannel_->cursor_phase(), now % pchannel_->table().hyperperiod(),
-      "P-channel table cursor on device " + device_.name + " (site " +
-          std::to_string(fault_site_) + ") lost its phase at slot " +
-          std::to_string(now));
+void VirtManager::check_registers(Slot now) const {
+  IOGUARD_CHECK_EQ_MSG(pchannel_->cursor_phase(),
+                       now % pchannel_->table().hyperperiod(),
+                       "P-channel table cursor on device " + device_.name +
+                           " (site " + std::to_string(fault_site_) +
+                           ") lost its phase at slot " + std::to_string(now));
+  std::size_t earliest = 0;
+  for (std::size_t i = 0; i < pools_.size(); ++i) {
+    IOGUARD_CHECK_MSG((pending_mask_ >> i & 1) == (pools_[i]->has_pending()),
+                      "stale R-channel pending bit" + where(i, now) +
+                          ": it disagrees with the pool's queue");
+    if (gsched_->next_replenish(i) < gsched_->next_replenish(earliest))
+      earliest = i;
+  }
+  IOGUARD_CHECK_EQ_MSG(gsched_->next_boundary(),
+                       gsched_->next_replenish(earliest),
+                       "stale G-Sched replenishment boundary" +
+                           where(earliest, now) +
+                           ": this VM's server period ends first");
 }
 
 VirtManager::SlotUse VirtManager::tick_slot_impl(
@@ -301,7 +311,7 @@ VirtManager::SlotUse VirtManager::tick_slot_impl(
   // never reaches this path: sigma* execution is identical under any plan.
   bool used = false;
   auto completed = pchannel_->execute_slot(now, used);
-  if (check_bookkeeping_) check_cursor(now);
+  if (check_bookkeeping_) check_registers(now);
   if (completed) {
     ++busy_slots_;
     const workload::Job& job = completed->job;
@@ -339,7 +349,7 @@ VirtManager::SlotUse VirtManager::tick_slot_impl(
   refresh_shadows(now);
 
   // 3. ...and the G-Sched picks the slot's owner.
-  const auto winner = gsched_->pick(now, shadow_snapshot_);
+  const auto winner = gsched_->pick(now, shadow_snapshot_, valid_mask_);
   if (!winner)
     return rchannel_work_pending() ? SlotUse::kStall : SlotUse::kQuiescent;
 
@@ -354,7 +364,7 @@ VirtManager::SlotUse VirtManager::tick_slot_impl(
             granted.job);
   }
   if (auto finished = pools_[*winner]->execute_shadow_slot()) {
-    shadow_dirty_[*winner] = 1;
+    queue_changed(*winner);
     if (active_valid_ && active_job_ == finished->job) active_valid_ = false;
     if (injector_ != nullptr) {
       // The response frame is the fault surface: it can be lost in flight
@@ -440,7 +450,7 @@ std::uint64_t VirtManager::apply_mode_switch(std::size_t vm_index) {
   IOGUARD_CHECK(vm_index < pools_.size());
   IOGUARD_CHECK_MSG(mode_ != nullptr, "mode switch without a controller");
   std::uint64_t shed = pools_[vm_index]->shed_lo(*hi_tasks_);
-  shadow_dirty_[vm_index] = 1;
+  queue_changed(vm_index);
   // LO retries waiting out backoff are shed with the queue; HI retries keep
   // their slots (their C_hi guarantee survives the switch).
   std::size_t kept = 0;

@@ -17,11 +17,11 @@
 // bit-identical with or without faults.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/jitter.hpp"
@@ -71,7 +71,21 @@ class VirtManager {
 
   /// Advances one scheduler slot; completions (P- and R-channel) finishing
   /// in this slot are appended to `out`.
-  void tick_slot(Slot now, std::vector<iodev::Completion>& out);
+  void tick_slot(Slot now, std::vector<iodev::Completion>& out) {
+    // The impl classifies what the slot was spent on; busy slots count
+    // themselves at the point of use (busy_slots_), so the three counters
+    // always partition the ticks exactly.
+    switch (tick_slot_impl(now, out)) {
+      case SlotUse::kBusy:
+        break;
+      case SlotUse::kStall:
+        ++profile_stall_slots_;
+        break;
+      case SlotUse::kQuiescent:
+        ++profile_quiescent_slots_;
+        break;
+    }
+  }
 
   [[nodiscard]] const iodev::DeviceSpec& device() const { return device_; }
   [[nodiscard]] const PChannel& pchannel() const { return *pchannel_; }
@@ -145,8 +159,7 @@ class VirtManager {
   /// RNG, so the hint degenerates to `from` and faulted runs never skip --
   /// keeping them trivially bit-identical to the stepped reference.
   [[nodiscard]] Slot next_busy_slot(Slot from) const {
-    if (injector_ != nullptr) return from;
-    if (rchannel_work_pending()) return from;
+    if (injector_ != nullptr || rchannel_work_pending()) return from;
     return pchannel_->next_reserved_slot(from);
   }
 
@@ -155,12 +168,14 @@ class VirtManager {
   /// to having ticked each skipped slot.
   void note_skipped_slots(std::uint64_t n) { profile_quiescent_slots_ += n; }
 
-  /// The L-Sched shadows and the P-channel's table cursor are kept current
-  /// from the events that change them: a free slot refreshes only the
-  /// shadows of pools whose queue changed since (DESIGN.md §15.2). With the
-  /// checks on (the default; the dense path), every free slot also
-  /// recomputes the other shadows, and every slot the cursor's phase, as the
-  /// hardware does, and IOGUARD_CHECKs them against the kept copies.
+  /// The L-Sched shadows, the three VM masks, the G-Sched's next boundary
+  /// and the P-channel's table cursor are kept current from the events that
+  /// change them: a free slot refreshes only the shadows of pools whose
+  /// queue changed since (DESIGN.md §15.2). With the checks on (the
+  /// default; the dense path), every free slot also recomputes the other
+  /// shadows and the valid mask, and every slot the pending mask, the
+  /// boundary and the cursor's phase, as the hardware does, and
+  /// IOGUARD_CHECKs them against the kept copies.
   /// Hypervisor::set_slot_skipping(true) turns the checks off.
   void set_bookkeeping_checks(bool on) { check_bookkeeping_ = on; }
 
@@ -176,7 +191,7 @@ class VirtManager {
   void set_tracer(EventTrace* tracer, DeviceId device) {
     tracer_ = tracer;
     trace_device_ = device;
-    std::fill(shadow_dirty_.begin(), shadow_dirty_.end(), 1);
+    dirty_mask_ = all_vms_;
   }
 
   /// Attaches a jitter recorder (not owned; nullptr detaches) fed at the
@@ -188,16 +203,35 @@ class VirtManager {
   enum class SlotUse : std::uint8_t { kBusy, kStall, kQuiescent };
 
   SlotUse tick_slot_impl(Slot now, std::vector<iodev::Completion>& out);
-  /// L-Sched step of a free slot: refreshes the shadow snapshot of every
-  /// pool marked dirty (tracing kShadowExpose edges) and, with the checks
-  /// on, recomputes the clean ones and checks them against the snapshot.
+  /// Pool `vm`'s queue changed (an accepted submit, a completion, an abort,
+  /// a shed): marks its shadow dirty and re-reads its pending bit.
+  void queue_changed(std::size_t vm) {
+    const std::uint64_t bit = std::uint64_t{1} << vm;
+    dirty_mask_ |= bit;
+    if (pools_[vm]->has_pending())
+      pending_mask_ |= bit;
+    else
+      pending_mask_ &= ~bit;
+  }
+  /// L-Sched step of a free slot: refreshes the shadow snapshot and valid
+  /// bit of every pool marked dirty (tracing kShadowExpose edges) and, with
+  /// the checks on, checks the rest (check_shadows).
   void refresh_shadows(Slot now);
-  /// Dense-path check that the cursor's phase is `now % H`.
-  void check_cursor(Slot now) const;
+  /// Dense-path check after a refresh: recomputes the shadows of the pools
+  /// not in `refreshed` against their snapshots, and every valid bit.
+  void check_shadows(Slot now, std::uint64_t refreshed);
+  /// Dense-path check of the per-slot registers: the cursor's phase is
+  /// `now % H`, each pending bit says whether its pool holds entries, and
+  /// the G-Sched's next boundary is the earliest server boundary.
+  void check_registers(Slot now) const;
+  /// " on device D (site S), VM v, slot t", for the check messages.
+  [[nodiscard]] std::string where(std::size_t vm, Slot now) const;
   /// Any R-channel work in the system (pending pool entries, backoff
   /// retries, or a partially-executed op): distinguishes stall from
   /// quiescent when a slot goes unused.
-  [[nodiscard]] bool rchannel_work_pending() const;
+  [[nodiscard]] bool rchannel_work_pending() const {
+    return active_valid_ || !retry_queue_.empty() || pending_mask_ != 0;
+  }
   /// A faulted job waiting out its backoff before re-entering the driver.
   struct PendingRetry {
     Slot due = 0;
@@ -222,9 +256,12 @@ class VirtManager {
   RtTranslator request_translator_;
   RtTranslator response_translator_;
   std::vector<ShadowRegister> shadow_snapshot_;
-  /// Per pool: its queue changed since its shadow was last refreshed (an
-  /// accepted submit, a completion, an abort, a shed).
-  std::vector<std::uint8_t> shadow_dirty_;
+  // VM masks, bit i = pool i (num_vms <= 64), kept by queue_changed() and
+  // refresh_shadows() so a slot walks only the VMs they name.
+  std::uint64_t all_vms_ = 0;      ///< one bit per VM
+  std::uint64_t dirty_mask_ = 0;   ///< queue changed since the last refresh
+  std::uint64_t pending_mask_ = 0; ///< pool holds entries
+  std::uint64_t valid_mask_ = 0;   ///< shadow snapshot is valid
   std::vector<JobId> last_exposed_;  ///< per pool, for kShadowExpose edges
   bool check_bookkeeping_ = true;
   Slot busy_slots_ = 0;

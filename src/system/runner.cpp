@@ -462,8 +462,10 @@ TrialResult run_trial(const TrialConfig& config) {
       }
 
       // (b) issue stages emit; requests enter the VMM (RT-XEN) or transit.
+      // An idle stage's tick does nothing, so it is not called.
       issued.clear();
-      for (auto& stage : issue) stage.tick_slot(issued);
+      for (auto& stage : issue)
+        if (!stage.idle()) stage.tick_slot(issued);
       for (const auto& j : issued) {
         stamp(t_issue, j.id, now);
         if (vmm) {

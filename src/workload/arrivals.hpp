@@ -24,7 +24,9 @@ struct ArrivalConfig {
 };
 
 /// Generates all job releases of `tasks` in [0, horizon), sorted by release
-/// slot (ties broken by task id). JobIds are dense and trace-unique.
+/// slot (ties broken by task id). JobIds are dense and trace-unique. Each
+/// task's releases form one stream with its own RNG fork; the streams are
+/// merged in that order into one vector, reserved once, so nothing sorts.
 [[nodiscard]] std::vector<Job> generate_trace(const TaskSet& tasks,
                                               const ArrivalConfig& config);
 

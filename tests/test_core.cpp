@@ -3,9 +3,12 @@
 // virtualization manager.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/check.hpp"
@@ -139,6 +142,14 @@ TEST(IoPool, RejectsWrongVmAndCountsDrops) {
 
 // -------------------------------------------------------------------- G-Sched
 
+/// The candidate mask a VirtManager keeps: bit i set iff shadow i is valid.
+std::uint64_t candidates(const std::vector<ShadowRegister>& shadows) {
+  std::uint64_t mask = 0;
+  for (std::size_t i = 0; i < shadows.size(); ++i)
+    if (shadows[i].valid) mask |= std::uint64_t{1} << i;
+  return mask;
+}
+
 TEST(GSched, BudgetsEnforcedWithSlackReclamation) {
   // One VM, Pi = 4, Theta = 2: two budgeted grants per period; the other
   // two slots (which would otherwise idle) arrive as slack grants.
@@ -149,12 +160,12 @@ TEST(GSched, BudgetsEnforcedWithSlackReclamation) {
 
   int grants = 0;
   for (Slot t = 0; t < 4; ++t)
-    if (g.pick(t, shadows)) ++grants;
+    if (g.pick(t, shadows, candidates(shadows))) ++grants;
   EXPECT_EQ(grants, 4);
   EXPECT_EQ(g.slack_granted(0), 2u);  // only 2 consumed budget
   EXPECT_EQ(g.budget(0), 0u);
   // Next period replenishes the budget.
-  (void)g.pick(4, shadows);
+  (void)g.pick(4, shadows, candidates(shadows));
   EXPECT_EQ(g.budget(0), 1u);
 }
 
@@ -165,8 +176,9 @@ TEST(GSched, SlackGoesToEarliestDeadlineAcrossVms) {
   std::vector<ShadowRegister> shadows(2);
   shadows[0].valid = true;
   shadows[0].absolute_deadline = 100;
-  EXPECT_EQ(g.pick(0, shadows).value(), 0u);  // budgeted
-  EXPECT_EQ(g.pick(1, shadows).value(), 0u);  // slack
+  const std::uint64_t c = candidates(shadows);
+  EXPECT_EQ(g.pick(0, shadows, c).value(), 0u);  // budgeted
+  EXPECT_EQ(g.pick(1, shadows, c).value(), 0u);  // slack
   EXPECT_EQ(g.slack_granted(0), 1u);
   EXPECT_EQ(g.slack_granted(1), 0u);
 }
@@ -180,7 +192,7 @@ TEST(GSched, ServerEdfPrefersEarlierReplenishmentDeadline) {
   shadows[0].absolute_deadline = 5;
   shadows[1].valid = true;
   shadows[1].absolute_deadline = 500;
-  EXPECT_EQ(g.pick(0, shadows).value(), 1u);
+  EXPECT_EQ(g.pick(0, shadows, candidates(shadows)).value(), 1u);
 }
 
 TEST(GSched, JobEdfPolicyPicksEarliestJob) {
@@ -190,7 +202,7 @@ TEST(GSched, JobEdfPolicyPicksEarliestJob) {
   shadows[0].absolute_deadline = 5;
   shadows[1].valid = true;
   shadows[1].absolute_deadline = 500;
-  EXPECT_EQ(g.pick(0, shadows).value(), 0u);
+  EXPECT_EQ(g.pick(0, shadows, candidates(shadows)).value(), 0u);
 }
 
 TEST(GSched, ExhaustedBudgetFallsBackToOtherVm) {
@@ -200,8 +212,9 @@ TEST(GSched, ExhaustedBudgetFallsBackToOtherVm) {
   shadows[0].absolute_deadline = 10;  // most urgent
   shadows[1].valid = true;
   shadows[1].absolute_deadline = 20;
-  EXPECT_EQ(g.pick(0, shadows).value(), 0u);  // grant 1: vm0 urgent
-  EXPECT_EQ(g.pick(1, shadows).value(), 1u);  // vm0 budget gone, vm1 budgeted
+  const std::uint64_t c = candidates(shadows);
+  EXPECT_EQ(g.pick(0, shadows, c).value(), 0u);  // grant 1: vm0 urgent
+  EXPECT_EQ(g.pick(1, shadows, c).value(), 1u);  // vm0 budget gone, vm1 budgeted
   EXPECT_EQ(g.budget(0), 0u);
   EXPECT_EQ(g.slack_granted(1), 0u);
 }
@@ -211,14 +224,178 @@ TEST(GSched, NoBudgetPolicyIgnoresServers) {
   std::vector<ShadowRegister> shadows(2);
   shadows[0].valid = true;
   shadows[0].absolute_deadline = 10;
-  for (Slot t = 0; t < 10; ++t) EXPECT_EQ(g.pick(t, shadows).value(), 0u);
+  for (Slot t = 0; t < 10; ++t)
+    EXPECT_EQ(g.pick(t, shadows, candidates(shadows)).value(), 0u);
 }
 
 TEST(GSched, IdleWhenNoShadowValid) {
   GSched g({{4, 2}});
   std::vector<ShadowRegister> shadows(1);
-  EXPECT_FALSE(g.pick(0, shadows).has_value());
+  EXPECT_FALSE(g.pick(0, shadows, candidates(shadows)).has_value());
   EXPECT_EQ(g.budget(0), 2u);  // nothing consumed
+}
+
+/// G-Sched as it was before the candidate mask and the kept boundary: each
+/// pick catches up every server's periods and scans every shadow. The
+/// oracle for GSched.
+class LinearGSched {
+ public:
+  LinearGSched(std::vector<sched::ServerParams> servers, GschedPolicy policy)
+      : servers_(std::move(servers)), state_(servers_.size()),
+        policy_(policy) {
+    for (std::size_t i = 0; i < servers_.size(); ++i) {
+      state_[i].budget = servers_[i].theta;
+      state_[i].next_replenish = servers_[i].pi;
+    }
+  }
+
+  void set_server(std::size_t i, const sched::ServerParams& params) {
+    const Slot old_theta = servers_[i].theta;
+    if (params.theta > old_theta)
+      state_[i].budget += params.theta - old_theta;
+    else
+      state_[i].budget = std::min(state_[i].budget, params.theta);
+    servers_[i] = params;
+  }
+
+  std::optional<std::size_t> pick(Slot now,
+                                  const std::vector<ShadowRegister>& shadows) {
+    for (std::size_t i = 0; i < servers_.size(); ++i) {
+      while (now >= state_[i].next_replenish) {
+        state_[i].budget = servers_[i].theta;
+        state_[i].next_replenish += servers_[i].pi;
+      }
+    }
+    auto key = [&](std::size_t i) {
+      const Slot server_deadline = state_[i].next_replenish;
+      const Slot job_deadline = shadows[i].absolute_deadline;
+      switch (policy_) {
+        case GschedPolicy::kServerEdf:
+          return std::tuple(server_deadline, job_deadline,
+                            static_cast<Slot>(i));
+        case GschedPolicy::kJobEdf:
+          return std::tuple(job_deadline, server_deadline,
+                            static_cast<Slot>(i));
+        case GschedPolicy::kGlobalEdfNoBudget:
+          return std::tuple(job_deadline, Slot{0}, static_cast<Slot>(i));
+      }
+      return std::tuple(kNeverSlot, kNeverSlot, static_cast<Slot>(i));
+    };
+    std::optional<std::size_t> best;
+    std::tuple<Slot, Slot, Slot> best_key{};
+    for (std::size_t i = 0; i < shadows.size(); ++i) {
+      if (!shadows[i].valid) continue;
+      if (policy_ != GschedPolicy::kGlobalEdfNoBudget &&
+          state_[i].budget == 0)
+        continue;
+      const auto k = key(i);
+      if (!best || k < best_key) {
+        best = i;
+        best_key = k;
+      }
+    }
+    if (best) {
+      if (policy_ != GschedPolicy::kGlobalEdfNoBudget) --state_[*best].budget;
+      ++state_[*best].granted;
+      return best;
+    }
+    Slot best_deadline = kNeverSlot;
+    for (std::size_t i = 0; i < shadows.size(); ++i) {
+      if (!shadows[i].valid) continue;
+      if (!best || shadows[i].absolute_deadline < best_deadline) {
+        best = i;
+        best_deadline = shadows[i].absolute_deadline;
+      }
+    }
+    if (best) {
+      ++state_[*best].granted;
+      ++state_[*best].slack_granted;
+    }
+    return best;
+  }
+
+  struct ServerState {
+    Slot budget = 0;
+    Slot next_replenish = 0;
+    Slot granted = 0;
+    Slot slack_granted = 0;
+  };
+  [[nodiscard]] const ServerState& state(std::size_t i) const {
+    return state_[i];
+  }
+
+ private:
+  std::vector<sched::ServerParams> servers_;
+  std::vector<ServerState> state_;
+  GschedPolicy policy_;
+};
+
+TEST(GSched, MatchesTheLinearSchedulerOverJumpsAndModeSwitches) {
+  // Random servers and shadows under all three policies; the slot advances
+  // by one, or jumps across several periods as the wake calendar does, and
+  // servers are inflated (a LO->HI switch) and restored mid-period.
+  const GschedPolicy policies[] = {GschedPolicy::kServerEdf,
+                                   GschedPolicy::kJobEdf,
+                                   GschedPolicy::kGlobalEdfNoBudget};
+  std::size_t jumps = 0, switches = 0, slack = 0;
+  for (const GschedPolicy policy : policies) {
+    for (std::uint64_t round = 0; round < 60; ++round) {
+      Rng rng(0x65c4ed + round);
+      const std::size_t n = 1 + rng.index(round % 10 == 0 ? 64 : 8);
+      std::vector<sched::ServerParams> lo;
+      Slot max_pi = 1;
+      for (std::size_t i = 0; i < n; ++i) {
+        const Slot pi = 1 + rng.uniform_int(0, 40);
+        lo.push_back({pi, rng.uniform_int(0, pi)});
+        max_pi = std::max(max_pi, pi);
+      }
+      GSched g(lo, policy);
+      LinearGSched oracle(lo, policy);
+      std::vector<ShadowRegister> shadows(n);
+      Slot now = 0;
+      for (int step = 0; step < 600; ++step) {
+        for (auto& sh : shadows) {
+          if (rng.bernoulli(0.3)) {
+            sh.valid = rng.bernoulli(0.6);
+            // Few distinct deadlines, so keys tie across VMs.
+            sh.absolute_deadline = now + rng.uniform_int(0, 6) * 10;
+          }
+        }
+        if (rng.bernoulli(0.05)) {
+          const std::size_t i = rng.index(n);
+          sched::ServerParams p = lo[i];
+          if (rng.bernoulli(0.5))
+            p.theta = p.theta + rng.uniform_int(0, p.pi - p.theta);
+          g.set_server(i, p);
+          oracle.set_server(i, p);
+          ++switches;
+        }
+        SCOPED_TRACE("round " + std::to_string(round) + " slot " +
+                     std::to_string(now));
+        const auto got = g.pick(now, shadows, candidates(shadows));
+        const auto want = oracle.pick(now, shadows);
+        ASSERT_EQ(got, want);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(g.budget(i), oracle.state(i).budget) << "VM " << i;
+          ASSERT_EQ(g.granted(i), oracle.state(i).granted) << "VM " << i;
+          ASSERT_EQ(g.slack_granted(i), oracle.state(i).slack_granted)
+              << "VM " << i;
+          ASSERT_EQ(g.next_replenish(i), oracle.state(i).next_replenish)
+              << "VM " << i;
+        }
+        if (rng.bernoulli(0.1)) {
+          now += 2 + rng.uniform_int(0, 4 * max_pi);
+          ++jumps;
+        } else {
+          ++now;
+        }
+      }
+      for (std::size_t i = 0; i < n; ++i) slack += g.slack_granted(i);
+    }
+  }
+  EXPECT_GT(jumps, 5000u);
+  EXPECT_GT(switches, 2000u);
+  EXPECT_GT(slack, 1000u);
 }
 
 // ------------------------------------------------------------------ P-channel
@@ -278,13 +455,49 @@ TEST(PChannel, FreeSlotsReportedFree) {
 /// and every reserved slot the walk visits executes.
 TEST(PChannel, CursorMatchesBruteForceScanOverStepsAndJumps) {
   constexpr std::uint32_t kFree = sched::TimeSlotTable::kFree;
-  const std::vector<std::vector<std::uint32_t>> tables = {
+  std::vector<std::vector<std::uint32_t>> tables = {
       {kFree, kFree, kFree, kFree, kFree, kFree, kFree},  // all free
       {0},                                                // one slot
       {kFree},
       {0, 0, 1, 0, 1},                                    // fully reserved
       {kFree, kFree, 0, kFree, kFree, kFree, kFree, kFree, 0},  // wraps
   };
+  // Random tables up to H = 4000: sparse, dense, and a few bursts between
+  // long free stretches, so the wake hint's short look along the table and
+  // its binary search both answer, on either side of the wrap.
+  Rng table_rng(0x7ab1e);
+  for (int k = 0; k < 24; ++k) {
+    const Slot hp = 1 + table_rng.uniform_int(0, 3999);
+    std::vector<std::uint32_t> slots(hp, kFree);
+    const auto task = [&] {
+      return static_cast<std::uint32_t>(table_rng.uniform_int(0, 3));
+    };
+    switch (k % 3) {
+      case 0: {  // sparse
+        const double p = 0.002 + 0.05 * table_rng.uniform();
+        for (auto& s : slots)
+          if (table_rng.bernoulli(p)) s = task();
+        break;
+      }
+      case 1: {  // dense
+        const double p = 0.6 + 0.35 * table_rng.uniform();
+        for (auto& s : slots)
+          if (table_rng.bernoulli(p)) s = task();
+        break;
+      }
+      default: {  // bursts
+        const auto bursts = table_rng.uniform_int(1, 5);
+        for (std::uint64_t b = 0; b < bursts; ++b) {
+          const Slot start = table_rng.uniform_int(0, hp - 1);
+          const Slot len = table_rng.uniform_int(1, 30);
+          const std::uint32_t id = task();
+          for (Slot s = start; s < std::min(hp, start + len); ++s)
+            slots[s] = id;
+        }
+      }
+    }
+    tables.push_back(std::move(slots));
+  }
   for (const auto& slots : tables) {
     const auto table = sched::TimeSlotTable::from_slots(slots);
     const Slot hp = table.hyperperiod();
@@ -444,6 +657,24 @@ TEST(VirtManager, PoolIsolationUnderOverflow) {
   for (const auto& c : done)
     if (c.job.vm == VmId{1} && !c.missed()) vm1_on_time = true;
   EXPECT_TRUE(vm1_on_time);
+}
+
+TEST(VirtManager, TracerAttachedMidRunSeesEveryExposedShadow) {
+  // Both VMs hold long jobs, so no queue changes after the first slots. A
+  // tracer attached then must still see each exposed head latched at the
+  // next free slot: attaching it marks every shadow dirty.
+  auto vm = make_manager(2, GschedPolicy::kGlobalEdfNoBudget);
+  ASSERT_TRUE(vm.submit(make_job(0, 0, 1000, 50, 0), 0));
+  ASSERT_TRUE(vm.submit(make_job(1, 0, 1000, 50, 1), 0));
+  std::vector<iodev::Completion> done;
+  for (Slot s = 0; s < 5; ++s) vm.tick_slot(s, done);
+  EventTrace trace(64);
+  vm.set_tracer(&trace, DeviceId{0});
+  vm.tick_slot(5, done);
+  std::set<std::uint32_t> exposed;
+  for (const TraceEvent& ev : trace.events())
+    if (ev.kind == TraceEventKind::kShadowExpose) exposed.insert(ev.job.value);
+  EXPECT_EQ(exposed, (std::set<std::uint32_t>{0, 1}));
 }
 
 // ----------------------------------------------------------------- hypervisor

@@ -143,7 +143,9 @@ TEST_P(GschedProperty, BudgetedGrantsReachThetaPerPeriodWhenBacklogged) {
     shadows[i].absolute_deadline = 1000 + i;
   }
   const Slot periods = 50;
-  for (Slot t = 0; t < periods * common_pi; ++t) (void)g.pick(t, shadows);
+  const std::uint64_t all = (std::uint64_t{1} << n) - 1;
+  for (Slot t = 0; t < periods * common_pi; ++t)
+    (void)g.pick(t, shadows, all);
 
   for (std::size_t i = 0; i < n; ++i) {
     const Slot budgeted = g.granted(i) - g.slack_granted(i);

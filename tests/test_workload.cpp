@@ -2,10 +2,14 @@
 // case-study builder, arrival traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/automotive.hpp"
 #include "workload/generator.hpp"
@@ -232,6 +236,105 @@ TEST(Arrivals, HorizonForMinJobsCoversEveryTask) {
   for (const auto& j : trace) counts[j.task.value]++;
   for (const auto& t : wl.tasks.tasks())
     EXPECT_GE(counts[t.id.value], 5) << t.name;
+}
+
+/// The generator as it was before the streams were merged: every task's
+/// releases pushed in task order, then the whole trace sorted by (release,
+/// task id) and numbered. The oracle for the merge.
+std::vector<Job> sorted_trace(const TaskSet& tasks,
+                              const ArrivalConfig& config) {
+  Rng rng(config.seed);
+  std::vector<Job> jobs;
+  for (const auto& t : tasks.tasks()) {
+    Rng task_rng = rng.fork(t.id.value);
+    Slot release = t.kind == TaskKind::kPredefined ? t.offset : Slot{0};
+    while (release < config.horizon) {
+      Job j;
+      j.task = t.id;
+      j.vm = t.vm;
+      j.device = t.device;
+      j.release = release;
+      j.absolute_deadline = release + t.deadline;
+      const double frac =
+          task_rng.uniform(config.exec_frac_lo, config.exec_frac_hi);
+      j.wcet = std::max<Slot>(
+          1, static_cast<Slot>(std::llround(frac * static_cast<double>(t.wcet))));
+      j.payload_bytes = t.payload_bytes;
+      jobs.push_back(j);
+      if (t.kind == TaskKind::kPredefined) {
+        release += t.period;
+      } else {
+        const double slack = config.jitter_frac <= 0.0
+                                 ? 0.0
+                                 : task_rng.exponential(
+                                       config.jitter_frac *
+                                       static_cast<double>(t.period));
+        release += t.period + static_cast<Slot>(std::llround(slack));
+      }
+    }
+  }
+  std::sort(jobs.begin(), jobs.end(), [](const Job& a, const Job& b) {
+    return a.release != b.release ? a.release < b.release
+                                  : a.task.value < b.task.value;
+  });
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    jobs[i].id = JobId{static_cast<std::uint32_t>(i)};
+  return jobs;
+}
+
+TEST(Arrivals, MergedStreamsMatchTheSortedTrace) {
+  // Random task sets over a short period menu, so releases of different
+  // tasks coincide; ids are shuffled, so the (release, task id) tie-break
+  // is not task order; some pre-defined offsets lie past the horizon.
+  const std::vector<Slot> periods = {3, 5, 10, 20, 25, 50};
+  std::size_t ties = 0, silent_tasks = 0, jobs_compared = 0;
+  for (std::uint64_t round = 0; round < 200; ++round) {
+    Rng rng(0x7ace + round);
+    const std::size_t n = 1 + rng.index(12);
+    std::vector<std::uint32_t> ids(n);
+    std::iota(ids.begin(), ids.end(), 0u);
+    rng.shuffle(ids);
+    ArrivalConfig cfg;
+    cfg.horizon = 1 + rng.uniform_int(0, 600);
+    cfg.jitter_frac = round % 3 == 0 ? 0.0 : round % 3 == 1 ? 0.005 : 0.4;
+    cfg.exec_frac_lo = 0.3 + 0.5 * rng.uniform();
+    cfg.seed = rng();
+    TaskSet ts;
+    for (std::size_t k = 0; k < n; ++k) {
+      const Slot period = periods[rng.index(periods.size())];
+      auto t = make_task(ids[k], period, 1 + rng.uniform_int(0, period - 1),
+                         period, static_cast<std::uint32_t>(rng.index(4)),
+                         static_cast<std::uint32_t>(rng.index(4)));
+      if (rng.bernoulli(0.5)) {
+        t.kind = TaskKind::kPredefined;
+        t.offset = rng.bernoulli(0.2) ? cfg.horizon + rng.uniform_int(0, 9)
+                                      : rng.uniform_int(0, 2 * period);
+        if (t.offset >= cfg.horizon) ++silent_tasks;
+      }
+      ts.add(t);
+    }
+    SCOPED_TRACE("round " + std::to_string(round));
+    const auto expected = sorted_trace(ts, cfg);
+    const auto merged = generate_trace(ts, cfg);
+    ASSERT_EQ(merged.size(), expected.size());
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+      SCOPED_TRACE("job " + std::to_string(i));
+      EXPECT_EQ(merged[i].id, expected[i].id);
+      EXPECT_EQ(merged[i].task, expected[i].task);
+      EXPECT_EQ(merged[i].vm, expected[i].vm);
+      EXPECT_EQ(merged[i].device, expected[i].device);
+      EXPECT_EQ(merged[i].release, expected[i].release);
+      EXPECT_EQ(merged[i].absolute_deadline, expected[i].absolute_deadline);
+      EXPECT_EQ(merged[i].wcet, expected[i].wcet);
+      EXPECT_EQ(merged[i].payload_bytes, expected[i].payload_bytes);
+      if (i > 0 && expected[i].release == expected[i - 1].release) ++ties;
+    }
+    jobs_compared += merged.size();
+  }
+  // The sets did exercise what the merge must get right.
+  EXPECT_GT(ties, 100u);
+  EXPECT_GT(silent_tasks, 10u);
+  EXPECT_GT(jobs_compared, 10000u);
 }
 
 }  // namespace
