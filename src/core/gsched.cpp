@@ -10,8 +10,6 @@ namespace ioguard::core {
 
 GSched::GSched(std::vector<sched::ServerParams> servers, GschedPolicy policy)
     : servers_(std::move(servers)), state_(servers_.size()), policy_(policy) {
-  IOGUARD_CHECK_MSG(servers_.size() <= 64,
-                    "G-Sched candidates are a 64-bit VM mask");
   for (std::size_t i = 0; i < servers_.size(); ++i) {
     IOGUARD_CHECK(servers_[i].pi > 0);
     IOGUARD_CHECK(servers_[i].theta <= servers_[i].pi);

@@ -659,6 +659,11 @@ TEST(VirtManager, PoolIsolationUnderOverflow) {
   EXPECT_TRUE(vm1_on_time);
 }
 
+TEST(VirtManager, RefusesMoreVmsThanItsMasksHold) {
+  EXPECT_NO_THROW((void)make_manager(64));
+  EXPECT_THROW((void)make_manager(65), CheckFailure);
+}
+
 TEST(VirtManager, TracerAttachedMidRunSeesEveryExposedShadow) {
   // Both VMs hold long jobs, so no queue changes after the first slots. A
   // tracer attached then must still see each exposed head latched at the

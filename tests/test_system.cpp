@@ -255,6 +255,19 @@ TEST(Runner, EventDrivenMatchesSteppedReferenceUnderFaults) {
     // Only the hypervisor traces enough events to compare sequences.
     if (kind == SystemKind::kIoGuard) expect_same_events(tc);
   }
+  // A low degradation threshold sheds VMs whose pools still hold entries,
+  // so the stepped run checks the kept pending bits right after a shed.
+  auto tc = base_trial(SystemKind::kIoGuard, 0.6, 0.5);
+  tc.faults = *plan;
+  tc.resilience.degradation_threshold = 4;
+  const TrialResult r = run_trial(tc);
+  EXPECT_GT(r.faults.degraded_vms, 0u);
+  EXPECT_GT(r.faults.jobs_shed, 0u);
+  tc.stepped = false;
+  const std::string event = summary_bytes(tc);
+  tc.stepped = true;
+  EXPECT_EQ(event, summary_bytes(tc));
+  expect_same_events(tc);
 }
 
 TEST(Runner, EventDrivenMatchesSteppedReferenceUnderModeSwitches) {
