@@ -11,36 +11,6 @@ namespace ioguard::sched {
 
 namespace {
 
-/// Checks sum-dbf <= sbf at each step point of the (non-decreasing, piecewise
-/// constant) demand function. Demand only increases at `steps`; supply is
-/// non-decreasing, so checking exactly at the step instants is sufficient.
-template <class DemandFn, class SupplyFn>
-AdmissionResult check_at_steps(const std::vector<Slot>& steps,
-                               DemandFn&& demand, SupplyFn&& supply,
-                               Slot bound) {
-  AdmissionResult r;
-  r.checked_until = bound;
-  for (Slot t : steps) {
-    if (t >= bound) break;
-    if (demand(t) > supply(t)) {
-      r.violation_t = t;
-      return r;
-    }
-  }
-  r.schedulable = true;
-  return r;
-}
-
-/// Step points of sporadic demand: t = D_k + m*T_k, in [1, bound).
-std::vector<Slot> sporadic_steps(const workload::TaskSet& tasks, Slot bound) {
-  std::vector<Slot> steps;
-  for (const auto& tau : tasks.tasks())
-    for (Slot t = tau.deadline; t < bound; t += tau.period) steps.push_back(t);
-  std::sort(steps.begin(), steps.end());
-  steps.erase(std::unique(steps.begin(), steps.end()), steps.end());
-  return steps;
-}
-
 __uint128_t gcd(__uint128_t a, __uint128_t b) {
   while (b != 0) {
     a %= b;
@@ -99,6 +69,16 @@ std::optional<double> confirmed_slack(double c, std::size_t n,
   return std::nullopt;
 }
 
+/// ceil(num / slack) + 1, or nullopt when the quotient does not fit a
+/// Slot: a bound no check could walk, so the slack counts as not positive.
+/// (Casting such a double is undefined; x86-64 GCC yields 0, a bound of 1.)
+std::optional<Slot> fitting_bound(double num, double slack) {
+  const double q = std::ceil(num / slack);
+  // 2^64: every non-negative double below it fits, with room for the + 1.
+  if (!(q >= 0.0 && q < 18446744073709551616.0)) return std::nullopt;
+  return static_cast<Slot>(q) + 1;
+}
+
 }  // namespace
 
 std::optional<double> global_slack(const TableSupply& supply,
@@ -122,6 +102,32 @@ std::optional<double> local_slack(const ServerParams& server,
           if (!demand.add(tau.wcet, tau.period)) return false;
         return demand.below(server.theta, server.pi);
       });
+}
+
+std::optional<Slot> global_check_bound(
+    const TableSupply& supply, const std::vector<ServerParams>& servers) {
+  const auto c = global_slack(supply, servers);
+  if (!c) return std::nullopt;
+  const double h = static_cast<double>(supply.hyperperiod());
+  const double f = static_cast<double>(supply.free_per_period());
+  // t* < F * ((H-1)/H) / c
+  return fitting_bound(f * ((h - 1.0) / h), *c);
+}
+
+std::optional<Slot> local_check_bound(const ServerParams& server,
+                                      const workload::TaskSet& vm_tasks,
+                                      Slot carry) {
+  const auto cprime = local_slack(server, vm_tasks);
+  if (!cprime) return std::nullopt;
+  Slot max_laxity = 0;  // max(T_k - D_k)
+  for (const auto& tau : vm_tasks.tasks())
+    max_laxity = std::max(max_laxity, tau.period - tau.deadline);
+  // t* < (max(T-D) + 2*Pi - Theta - 1 + carry) / c'
+  const double num = static_cast<double>(max_laxity) +
+                     2.0 * static_cast<double>(server.pi) -
+                     static_cast<double>(server.theta) - 1.0 +
+                     static_cast<double>(carry);
+  return fitting_bound(num, *cprime);
 }
 
 AdmissionResult theorem1_exhaustive(const TableSupply& supply,
@@ -189,15 +195,9 @@ AdmissionResult theorem2_check(const TableSupply& supply,
     r.schedulable = true;
     return r;
   }
-  const auto c = global_slack(supply, servers);
-  if (!c) return r;  // Theorem 2's stated limitation: requires c > 0
-
-  const double h = static_cast<double>(supply.hyperperiod());
-  const double f = static_cast<double>(supply.free_per_period());
-  // t* < F * ((H-1)/H) / c
-  const auto bound =
-      static_cast<Slot>(std::ceil(f * ((h - 1.0) / h) / *c)) + 1;
-  return theorem1_exhaustive(supply, servers, bound);
+  const auto bound = global_check_bound(supply, servers);
+  if (!bound) return r;  // Theorem 2's stated limitation: requires c > 0
+  return theorem1_exhaustive(supply, servers, *bound);
 }
 
 AdmissionResult theorem3_exhaustive(const ServerParams& server,
@@ -214,10 +214,19 @@ AdmissionResult theorem3_exhaustive(const ServerParams& server,
       l = workload::checked_lcm(l, tau.period, lcm_cap);
     t_max = l + 1;
   }
-  const auto steps = sporadic_steps(vm_tasks, t_max);
-  return check_at_steps(
-      steps, [&](Slot t) { return dbf_taskset(vm_tasks, t); },
-      [&](Slot t) { return sbf_server(server, t); }, t_max);
+  // Demand only increases at its steps and supply is non-decreasing, so
+  // checking exactly at the step instants is sufficient.
+  AdmissionResult r;
+  r.checked_until = t_max;
+  DemandWalk walk(vm_tasks, t_max);
+  while (walk.next()) {
+    if (walk.dbf() > sbf_server(server, walk.t())) {
+      r.violation_t = walk.t();
+      return r;
+    }
+  }
+  r.schedulable = true;
+  return r;
 }
 
 AdmissionResult theorem4_check(const ServerParams& server,
@@ -227,18 +236,9 @@ AdmissionResult theorem4_check(const ServerParams& server,
     r.schedulable = true;
     return r;
   }
-  const auto cprime = local_slack(server, vm_tasks);
-  if (!cprime) return r;  // Theorem 4 requires c' > 0
-
-  Slot max_laxity = 0;  // max(T_k - D_k)
-  for (const auto& tau : vm_tasks.tasks())
-    max_laxity = std::max(max_laxity, tau.period - tau.deadline);
-  // t* < (max(T-D) + 2*Pi - Theta - 1) / c'
-  const double num = static_cast<double>(max_laxity) +
-                     2.0 * static_cast<double>(server.pi) -
-                     static_cast<double>(server.theta) - 1.0;
-  const auto bound = static_cast<Slot>(std::ceil(num / *cprime)) + 1;
-  return theorem3_exhaustive(server, vm_tasks, bound);
+  const auto bound = local_check_bound(server, vm_tasks);
+  if (!bound) return r;  // Theorem 4 requires c' > 0
+  return theorem3_exhaustive(server, vm_tasks, *bound);
 }
 
 }  // namespace ioguard::sched

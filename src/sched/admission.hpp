@@ -30,6 +30,19 @@ struct AdmissionResult {
 [[nodiscard]] std::optional<double> local_slack(
     const ServerParams& server, const workload::TaskSet& vm_tasks);
 
+/// Theorem 2's check bound ceil(F*((H-1)/H) / c) + 1; nullopt unless the
+/// slack c is positive (global_slack) and the bound fits a Slot.
+[[nodiscard]] std::optional<Slot> global_check_bound(
+    const TableSupply& supply, const std::vector<ServerParams>& servers);
+
+/// Theorem 4's check bound ceil((max(T-D) + 2*Pi - Theta - 1 + carry) / c')
+/// + 1, where `carry` is a constant demand added at every step (the
+/// mixed-criticality transition's carry-over); nullopt unless c' is
+/// positive (local_slack) and the bound fits a Slot.
+[[nodiscard]] std::optional<Slot> local_check_bound(
+    const ServerParams& server, const workload::TaskSet& vm_tasks,
+    Slot carry = 0);
+
 /// Theorem 1 evaluated exhaustively: checks dbf/sbf at every demand step
 /// point t <= t_max (t_max defaults to lcm(H, Pi_1..Pi_n), capped). The
 /// O(H) sbf(t) is looked up only where dbf(t) exceeds the O(1) lsbf(t).
@@ -45,7 +58,8 @@ AdmissionResult theorem2_check(const TableSupply& supply,
                                const std::vector<ServerParams>& servers);
 
 /// Theorem 3 evaluated exhaustively for VM i: checks at every step point of
-/// sum dbf(tau_k, t) up to t_max (defaults to lcm(Pi, T_k...), capped).
+/// sum dbf(tau_k, t) below t_max (defaults to lcm(Pi, T_k...), capped),
+/// walked in ascending order (DemandWalk) up to the first violation.
 AdmissionResult theorem3_exhaustive(const ServerParams& server,
                                     const workload::TaskSet& vm_tasks,
                                     Slot t_max = 0,

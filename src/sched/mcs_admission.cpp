@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "common/check.hpp"
 
@@ -47,33 +46,17 @@ AdmissionResult mcs_transition_check(const ServerParams& hi_server,
     r.schedulable = true;
     return r;
   }
-  // Theorem-4 slack of the HI regime; the carry-over is a constant offset,
+  // Theorem-4 bound of the HI regime; the carry-over is a constant offset,
   // so it widens the check bound but leaves the asymptotics untouched.
-  const auto cprime = local_slack(hi_server, hi_tasks);
-  if (!cprime) return r;
+  const auto bound = local_check_bound(hi_server, hi_tasks, carry_over);
+  if (!bound) return r;
+  r.checked_until = *bound;
 
-  Slot max_laxity = 0;
-  for (const auto& tau : hi_tasks.tasks())
-    max_laxity = std::max(max_laxity, tau.period - tau.deadline);
-  const double num = static_cast<double>(max_laxity) +
-                     2.0 * static_cast<double>(hi_server.pi) -
-                     static_cast<double>(hi_server.theta) - 1.0 +
-                     static_cast<double>(carry_over);
-  const auto bound = static_cast<Slot>(std::ceil(num / *cprime)) + 1;
-  r.checked_until = bound;
-
-  // Demand steps: t = D_k + m*T_k. Demand is piecewise constant and supply
-  // non-decreasing, so checking the step instants is exact (as in
-  // theorem3_exhaustive).
-  std::vector<Slot> steps;
-  for (const auto& tau : hi_tasks.tasks())
-    for (Slot t = tau.deadline; t < bound; t += tau.period) steps.push_back(t);
-  std::sort(steps.begin(), steps.end());
-  steps.erase(std::unique(steps.begin(), steps.end()), steps.end());
-
-  for (Slot t : steps) {
-    if (dbf_taskset(hi_tasks, t) + carry_over > sbf_server(hi_server, t)) {
-      r.violation_t = t;
+  // The HI demand walk, its running sum starting at the carry-over.
+  DemandWalk walk(hi_tasks, *bound, carry_over);
+  while (walk.next()) {
+    if (walk.dbf() > sbf_server(hi_server, walk.t())) {
+      r.violation_t = walk.t();
       return r;
     }
   }

@@ -86,11 +86,4 @@ Slot dbf_sporadic(Slot period, Slot wcet, Slot deadline, Slot t) {
   return ((t - deadline) / period + 1) * wcet;
 }
 
-Slot dbf_taskset(const workload::TaskSet& tasks, Slot t) {
-  Slot sum = 0;
-  for (const auto& tau : tasks.tasks())
-    sum += dbf_sporadic(tau.period, tau.wcet, tau.deadline, t);
-  return sum;
-}
-
 }  // namespace ioguard::sched

@@ -52,14 +52,8 @@ StatusOr<SlotDelta> min_slack(const ServerParams& server,
 
   // Check window mirrors theorem4_check.
   Slot bound;
-  if (const auto cprime = local_slack(server, vm_tasks)) {
-    Slot max_laxity = 0;
-    for (const auto& tau : vm_tasks.tasks())
-      max_laxity = std::max(max_laxity, tau.period - tau.deadline);
-    const double num = static_cast<double>(max_laxity) +
-                       2.0 * static_cast<double>(server.pi) -
-                       static_cast<double>(server.theta) - 1.0;
-    bound = static_cast<Slot>(std::ceil(num / *cprime)) + 1;
+  if (const auto b = local_check_bound(server, vm_tasks)) {
+    bound = *b;
   } else {
     // Over-utilized: inspect a few hyper-periods to find the violation.
     bound = 4 * vm_tasks.hyperperiod(Slot{1} << 22) + 1;
@@ -69,12 +63,11 @@ StatusOr<SlotDelta> min_slack(const ServerParams& server,
     bound = std::max(bound, tau.deadline + 1);
 
   SlotDelta worst = std::numeric_limits<SlotDelta>::max();
-  for (const auto& tau : vm_tasks.tasks()) {
-    for (Slot t = tau.deadline; t < bound; t += tau.period) {
-      const auto demand = static_cast<SlotDelta>(dbf_taskset(vm_tasks, t));
-      const auto supply = static_cast<SlotDelta>(sbf_server(server, t));
-      worst = std::min(worst, supply - demand);
-    }
+  DemandWalk walk(vm_tasks, bound);
+  while (walk.next()) {
+    const auto demand = static_cast<SlotDelta>(walk.dbf());
+    const auto supply = static_cast<SlotDelta>(sbf_server(server, walk.t()));
+    worst = std::min(worst, supply - demand);
   }
   if (worst == std::numeric_limits<SlotDelta>::max())
     return FailedPreconditionError("no demand step point inside the window");
@@ -105,10 +98,8 @@ StatusOr<SlotDelta> global_min_slack(const TableSupply& supply,
     return FailedPreconditionError("no servers: global slack is undefined");
 
   Slot bound;
-  if (const auto c = global_slack(supply, servers)) {
-    const double h = static_cast<double>(supply.hyperperiod());
-    const double f = static_cast<double>(supply.free_per_period());
-    bound = static_cast<Slot>(std::ceil(f * ((h - 1.0) / h) / *c)) + 1;
+  if (const auto b = global_check_bound(supply, servers)) {
+    bound = *b;
   } else {
     Slot l = supply.hyperperiod();
     for (const auto& g : servers)

@@ -4,6 +4,7 @@
 //  * sbf(Gamma, t) (Eq. 8) equals the supply of the Shin & Lee worst-case
 //    pattern;
 //  * Theorems 2/4 are sound and agree with the exhaustive Theorems 1/3;
+//  * the L-level demand walk reproduces the sorted step scan it replaced;
 //  * admitted task sets never miss deadlines in simulation (empirical
 //    soundness of the whole two-layer analysis).
 #include <gtest/gtest.h>
@@ -11,13 +12,16 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <numeric>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "sched/admission.hpp"
 #include "sched/edf_ref.hpp"
+#include "sched/mcs_admission.hpp"
 #include "sched/sbf.hpp"
+#include "sched/sensitivity.hpp"
 #include "sched/server_design.hpp"
 #include "sched/slot_table.hpp"
 #include "workload/arrivals.hpp"
@@ -292,6 +296,227 @@ TEST_P(GlobalAdmissionProperty, SpreadTablesMatchUnscreenedReference) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSystems, GlobalAdmissionProperty,
                          ::testing::Range(0, 40));
+
+// ------------------------------ L-level demand walk vs the sorted step scan
+
+/// The step scan the L-level checks ran before DemandWalk: every demand
+/// step t = D_k + m*T_k below `bound` pushed into a vector, sorted and
+/// de-duplicated. `coinciding` counts the steps that fell on an instant
+/// another task steps at too.
+std::vector<Slot> sorted_steps(const TaskSet& tasks, Slot bound,
+                               std::size_t* coinciding = nullptr) {
+  std::vector<Slot> steps;
+  for (const auto& tau : tasks.tasks())
+    for (Slot t = tau.deadline; t < bound; t += tau.period) steps.push_back(t);
+  std::sort(steps.begin(), steps.end());
+  const std::size_t all = steps.size();
+  steps.erase(std::unique(steps.begin(), steps.end()), steps.end());
+  if (coinciding != nullptr) *coinciding += all - steps.size();
+  return steps;
+}
+
+Slot dbf_sum(const TaskSet& tasks, Slot t) {
+  Slot sum = 0;
+  for (const auto& tau : tasks.tasks())
+    sum += dbf_sporadic(tau.period, tau.wcet, tau.deadline, t);
+  return sum;
+}
+
+/// dbf(t) + carry <= sbf(server, t) at each sorted step below `bound`.
+AdmissionResult step_scan(const ServerParams& server, const TaskSet& tasks,
+                          Slot bound, Slot carry) {
+  AdmissionResult r;
+  r.checked_until = bound;
+  for (const Slot t : sorted_steps(tasks, bound)) {
+    if (dbf_sum(tasks, t) + carry > sbf_server(server, t)) {
+      r.violation_t = t;
+      return r;
+    }
+  }
+  r.schedulable = true;
+  return r;
+}
+
+/// Theorem 4's check bound, widened by `carry`, as the scan sized it.
+Slot scan_bound(const ServerParams& server, const TaskSet& tasks,
+                double cprime, Slot carry) {
+  Slot max_laxity = 0;
+  for (const auto& tau : tasks.tasks())
+    max_laxity = std::max(max_laxity, tau.period - tau.deadline);
+  const double num = static_cast<double>(max_laxity) +
+                     2.0 * static_cast<double>(server.pi) -
+                     static_cast<double>(server.theta) - 1.0 +
+                     static_cast<double>(carry);
+  return static_cast<Slot>(std::ceil(num / cprime)) + 1;
+}
+
+/// min_slack as the scan computed it: each task's steps in turn, with the
+/// whole set's dbf summed at each.
+SlotDelta scan_min_slack(const ServerParams& server, const TaskSet& tasks) {
+  Slot bound = 4 * tasks.hyperperiod(Slot{1} << 22) + 1;
+  if (const auto cprime = local_slack(server, tasks))
+    bound = scan_bound(server, tasks, *cprime, 0);
+  for (const auto& tau : tasks.tasks())
+    bound = std::max(bound, tau.deadline + 1);
+  SlotDelta worst = std::numeric_limits<SlotDelta>::max();
+  for (const auto& tau : tasks.tasks())
+    for (Slot t = tau.deadline; t < bound; t += tau.period)
+      worst = std::min(worst, static_cast<SlotDelta>(sbf_server(server, t)) -
+                                  static_cast<SlotDelta>(dbf_sum(tasks, t)));
+  return worst;
+}
+
+/// One random L-level question: a server with Theta <= Pi, 1-8 tasks with
+/// D <= T, an explicit Theorem 3 bound (0 for the lcm bound) and a
+/// transition carry-over. Periods divide 120, so steps of different tasks
+/// often coincide. A quarter of the servers sit just above the set's
+/// utilization, so c' is small but positive; their Theta is raised until
+/// the Theorem 4 bound keeps the scan's vector small.
+struct VmCase {
+  ServerParams server;
+  TaskSet tasks;
+  Slot t_max = 0;
+  Slot carry = 0;
+};
+
+VmCase random_vm_case(Rng& rng) {
+  static constexpr Slot kPeriods[] = {4, 6, 8, 10, 12, 15, 20, 24, 30, 40, 60, 120};
+  VmCase c;
+  const std::size_t n = 1 + rng.index(8);
+  double steps_per_slot = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    workload::IoTaskSpec s;
+    s.id = TaskId{static_cast<std::uint32_t>(i)};
+    s.vm = VmId{0};
+    s.device = DeviceId{0};
+    s.name = std::string("w").append(std::to_string(i));
+    s.period = kPeriods[rng.index(std::size(kPeriods))];
+    s.deadline =
+        rng.bernoulli(0.5) ? s.period : 1 + rng.uniform_int(0, s.period - 1);
+    s.wcet = 1 + rng.uniform_int(0, std::max<Slot>(1, s.deadline / 4) - 1);
+    s.payload_bytes = 8;
+    c.tasks.add(s);
+    steps_per_slot += 1.0 / static_cast<double>(s.period);
+  }
+  if (rng.bernoulli(0.25)) {
+    const Slot pi = 50 + rng.uniform_int(0, 150);
+    Slot theta = std::min<Slot>(
+        pi, static_cast<Slot>(c.tasks.utilization() * static_cast<double>(pi)) +
+                1);
+    for (; theta < pi; ++theta) {
+      const auto cprime = local_slack({pi, theta}, c.tasks);
+      if (!cprime ||
+          static_cast<double>(scan_bound({pi, theta}, c.tasks, *cprime, 0)) *
+                  steps_per_slot <
+              20000.0)
+        break;
+    }
+    c.server = {pi, theta};
+  } else {
+    const Slot pi = 2 + rng.uniform_int(0, 28);
+    c.server = {pi, 1 + rng.uniform_int(0, pi - 1)};
+  }
+  if (!rng.bernoulli(0.25)) c.t_max = 1 + rng.uniform_int(0, 360);
+  c.carry = rng.uniform_int(0, 2 * c.server.theta);
+  return c;
+}
+
+TEST(DemandWalk, VisitsEachStepOnceAscendingWithItsDemand) {
+  Rng rng(4242);
+  std::size_t coinciding = 0;
+  for (int i = 0; i < 400; ++i) {
+    const VmCase c = random_vm_case(rng);
+    const Slot bound = c.t_max == 0 ? 361 : c.t_max;
+    const auto want = sorted_steps(c.tasks, bound, &coinciding);
+    DemandWalk walk(c.tasks, bound, c.carry);
+    std::size_t k = 0;
+    for (; walk.next(); ++k) {
+      ASSERT_LT(k, want.size()) << "walk passed the bound " << bound;
+      ASSERT_EQ(walk.t(), want[k]);
+      ASSERT_EQ(walk.dbf(), dbf_sum(c.tasks, walk.t()) + c.carry);
+    }
+    EXPECT_EQ(k, want.size());
+  }
+  EXPECT_GE(coinciding, 100u);
+}
+
+TEST(DemandWalk, CursorStopsAtNeverSlot) {
+  // The next step of either task lies past 2^64 - 1; neither cursor may
+  // wrap around to an early instant.
+  constexpr Slot kHalf = Slot{1} << 63;
+  TaskSet ts;
+  workload::IoTaskSpec s;
+  s.vm = VmId{0};
+  s.device = DeviceId{0};
+  s.payload_bytes = 8;
+  s.id = TaskId{0};
+  s.name = "a";
+  s.period = kHalf;
+  s.deadline = kHalf - 1;  // next step would be exactly 2^64 - 1
+  s.wcet = 1;
+  ts.add(s);
+  s.id = TaskId{1};
+  s.name = "b";
+  s.period = kHalf + 1;
+  s.deadline = kHalf;  // next step would be 2^64 + 1
+  s.wcet = 2;
+  ts.add(s);
+  DemandWalk walk(ts, kNeverSlot);
+  ASSERT_TRUE(walk.next());
+  EXPECT_EQ(walk.t(), kHalf - 1);
+  EXPECT_EQ(walk.dbf(), 1u);
+  ASSERT_TRUE(walk.next());
+  EXPECT_EQ(walk.t(), kHalf);
+  EXPECT_EQ(walk.dbf(), 3u);
+  EXPECT_FALSE(walk.next());
+}
+
+TEST(LLevelWalk, MatchesSortedStepScan) {
+  // Whole results of Theorem 3 (explicit and lcm bounds), Theorem 4, the
+  // transition check and min_slack against the step scan.
+  Rng rng(777);
+  std::size_t coinciding = 0;
+  std::size_t small_slack = 0;
+  std::size_t verdicts[2] = {0, 0};
+  for (int i = 0; i < 400; ++i) {
+    const VmCase c = random_vm_case(rng);
+    const auto& g = c.server;
+    SCOPED_TRACE("case " + std::to_string(i) + ": Pi=" + std::to_string(g.pi) +
+                 " Theta=" + std::to_string(g.theta));
+
+    Slot t_max = c.t_max;
+    if (t_max == 0) {
+      Slot l = g.pi;
+      for (const auto& tau : c.tasks.tasks())
+        l = workload::checked_lcm(l, tau.period, Slot{1} << 26);
+      t_max = l + 1;
+    }
+    sorted_steps(c.tasks, t_max, &coinciding);
+    expect_same_result(theorem3_exhaustive(g, c.tasks, c.t_max),
+                       step_scan(g, c.tasks, t_max, 0), "Theorem 3");
+
+    AdmissionResult t4;
+    AdmissionResult transition;
+    if (const auto cprime = local_slack(g, c.tasks)) {
+      if (*cprime < 0.01) ++small_slack;
+      t4 = step_scan(g, c.tasks, scan_bound(g, c.tasks, *cprime, 0), 0);
+      transition = step_scan(g, c.tasks,
+                             scan_bound(g, c.tasks, *cprime, c.carry), c.carry);
+    }
+    ++verdicts[t4.schedulable ? 1 : 0];
+    expect_same_result(theorem4_check(g, c.tasks), t4, "Theorem 4");
+    expect_same_result(mcs_transition_check(g, c.tasks, c.carry), transition,
+                       "transition");
+
+    const auto slack = min_slack(g, c.tasks);
+    ASSERT_TRUE(slack.ok()) << slack.status().message();
+    EXPECT_EQ(*slack, scan_min_slack(g, c.tasks));
+  }
+  EXPECT_GE(coinciding, 100u);
+  EXPECT_GE(small_slack, 20u);
+  EXPECT_GE(verdicts[0], 50u);
+  EXPECT_GE(verdicts[1], 50u);
+}
 
 // ------------------------------------------ Theorem 4 empirical soundness
 
