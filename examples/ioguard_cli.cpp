@@ -24,7 +24,6 @@
 #include "common/atomic_file.hpp"
 #include "common/checksum.hpp"
 #include "common/cli.hpp"
-#include "common/env.hpp"
 #include "common/interrupt.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
@@ -154,8 +153,7 @@ CliSpec make_spec() {
                    "fault plan / checkpoint) first; refuse to run on errors")
       .flag_switch("stepped",
                    "run the slot-stepped reference loop instead of the "
-                   "event-driven advance (bit-identical results; also "
-                   "IOGUARD_STEPPED=1)");
+                   "event-driven advance (bit-identical results)");
   return spec;
 }
 
@@ -173,8 +171,7 @@ Status run(const CliArgs& args) {
   // Execution mode is NOT part of the checkpoint fingerprint: both loops are
   // bit-identical, so a stepped-written journal resumes cleanly event-driven
   // (and vice versa) -- CI exercises exactly that.
-  const bool stepped =
-      args.get_bool("stepped") || env_int("IOGUARD_STEPPED", 0) != 0;
+  const bool stepped = args.get_bool("stepped");
   IOGUARD_ASSIGN_OR_RETURN(const faults::FaultPlan plan,
                            faults::FaultPlan::parse(args.get("faults")));
   const faults::ResilienceConfig resilience;

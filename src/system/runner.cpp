@@ -667,7 +667,6 @@ TrialResult run_trial(const TrialConfig& config) {
       telemetry::FlightRecorderConfig fr;
       fr.dir = config.flight_dir;
       fr.stem = config.flight_stem;
-      fr.last_n = config.flight_last_n;
       fr.max_dumps = config.flight_max_dumps;
       flight = std::make_unique<telemetry::FlightRecorder>(std::move(fr));
       flight->set_state_writer(

@@ -73,13 +73,12 @@ struct TrialConfig {
   /// attribution (cycle-attribution profiler).
   bool collect_profile = false;
   /// Flight recorder: when non-empty, deadline misses and fault recoveries
-  /// dump the last flight_last_n trace events + scheduler state into
-  /// bounded per-trial files under this directory (I/O-GUARD only; the
-  /// directory must exist). A trial without an attached trace gets a
-  /// private ring just for the recorder.
+  /// dump the last FlightRecorderConfig::last_n trace events + scheduler
+  /// state into bounded per-trial files under this directory (I/O-GUARD
+  /// only; the directory must exist). A trial without an attached trace gets
+  /// a private ring just for the recorder.
   std::string flight_dir;
   std::string flight_stem = "trial0";  ///< per-trial filename stem
-  std::size_t flight_last_n = 64;
   std::size_t flight_max_dumps = 4;
 
   // --- execution mode (DESIGN.md §15) -------------------------------------
@@ -87,7 +86,7 @@ struct TrialConfig {
   /// event-driven next-slot advance. Both modes are bit-identical by
   /// contract (results, telemetry, checkpoints, flight dumps); the stepped
   /// loop exists as the trusted oracle CI diffs the calendar path against,
-  /// and as an escape hatch (`ioguard_cli --stepped` / IOGUARD_STEPPED=1).
+  /// and as an escape hatch (`ioguard_cli --stepped`).
   bool stepped = false;
 };
 
