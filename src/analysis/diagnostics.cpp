@@ -207,13 +207,6 @@ bool Report::has(DiagCode code) const {
   return false;
 }
 
-std::vector<Diagnostic> Report::with_code(DiagCode code) const {
-  std::vector<Diagnostic> out;
-  for (const auto& d : diags_)
-    if (d.code == code) out.push_back(d);
-  return out;
-}
-
 void Report::merge(const Report& other) {
   for (const auto& d : other.diags_)
     add(d.code, d.severity, d.message, d.context);

@@ -134,9 +134,6 @@ class Report {
   /// True when at least one finding with `code` is present.
   [[nodiscard]] bool has(DiagCode code) const;
 
-  /// Findings with `code`, in insertion order.
-  [[nodiscard]] std::vector<Diagnostic> with_code(DiagCode code) const;
-
   /// Appends all findings of `other`.
   void merge(const Report& other);
 

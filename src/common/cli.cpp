@@ -51,12 +51,6 @@ bool CliArgs::has(const std::string& flag) const {
   return flags_.count(flag) != 0;
 }
 
-std::string CliArgs::get(const std::string& flag,
-                         const std::string& fallback) const {
-  const auto it = flags_.find(flag);
-  return it == flags_.end() ? fallback : it->second;
-}
-
 std::int64_t CliArgs::get_int(const std::string& flag,
                               std::int64_t fallback) const {
   const auto it = flags_.find(flag);
@@ -101,14 +95,13 @@ double CliArgs::get_double(const std::string& flag) const {
 
 CliSpec& CliSpec::flag(const std::string& name, const std::string& fallback,
                        const std::string& help) {
-  flags_.push_back(Flag{name, help, Type::kString, false, fallback});
+  flags_.push_back(Flag{name, help, Type::kString, fallback});
   return *this;
 }
 
 CliSpec& CliSpec::flag_int(const std::string& name, std::int64_t fallback,
                            const std::string& help) {
-  flags_.push_back(Flag{name, help, Type::kInt, false,
-                        std::to_string(fallback)});
+  flags_.push_back(Flag{name, help, Type::kInt, std::to_string(fallback)});
   return *this;
 }
 
@@ -116,18 +109,13 @@ CliSpec& CliSpec::flag_double(const std::string& name, double fallback,
                               const std::string& help) {
   std::ostringstream os;
   os << fallback;
-  flags_.push_back(Flag{name, help, Type::kDouble, false, os.str()});
+  flags_.push_back(Flag{name, help, Type::kDouble, os.str()});
   return *this;
 }
 
 CliSpec& CliSpec::flag_switch(const std::string& name,
                               const std::string& help) {
-  flags_.push_back(Flag{name, help, Type::kSwitch, false, ""});
-  return *this;
-}
-
-CliSpec& CliSpec::required(const std::string& name, const std::string& help) {
-  flags_.push_back(Flag{name, help, Type::kString, true, ""});
+  flags_.push_back(Flag{name, help, Type::kSwitch, ""});
   return *this;
 }
 
@@ -164,11 +152,8 @@ std::string CliSpec::help_text(const std::string& program) const {
   for (const auto& f : flags_) {
     std::string left = left_of(f);
     os << "  " << left << std::string(width - left.size() + 2, ' ') << f.help;
-    if (f.required) {
-      os << " (required)";
-    } else if (f.type != Type::kSwitch && !f.fallback.empty()) {
+    if (f.type != Type::kSwitch && !f.fallback.empty())
       os << " (default: " << f.fallback << ")";
-    }
     os << "\n";
   }
   os << "  --help" << std::string(width - 6 + 2, ' ')
@@ -208,8 +193,6 @@ Status CliSpec::validate(CliArgs& args) const {
     }
   }
   for (const auto& f : flags_) {
-    if (f.required && !args.has(f.name))
-      return InvalidArgumentError("missing required flag --" + f.name);
     if (f.type != Type::kSwitch)
       args.flags_.emplace(f.name, f.fallback);  // inject default if absent
   }

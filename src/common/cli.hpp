@@ -6,11 +6,11 @@
 //
 // Two layers:
 //   * CliArgs -- the raw parse (kept for library/test call sites).
-//   * CliSpec -- flag *registration*: typed defaults, required flags and
-//     one-line descriptions. parse() rejects unknown flags, validates
-//     types, injects defaults and auto-answers --help, so no binary ever
-//     hand-rolls a usage string again. Tools report errors via Status and
-//     map them to exit codes in main() only.
+//   * CliSpec -- flag *registration*: typed defaults and one-line
+//     descriptions. parse() rejects unknown flags, validates types, injects
+//     defaults and auto-answers --help, so no binary ever hand-rolls a usage
+//     string again. Tools report errors via Status and map them to exit
+//     codes in main() only.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +29,6 @@ class CliArgs {
   CliArgs(int argc, const char* const* argv);
 
   [[nodiscard]] bool has(const std::string& flag) const;
-  [[nodiscard]] std::string get(const std::string& flag,
-                                const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& flag,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& flag,
@@ -90,8 +88,6 @@ class CliSpec {
                        const std::string& help);
   /// Registers a boolean switch (absent => false).
   CliSpec& flag_switch(const std::string& name, const std::string& help);
-  /// Registers a string flag that must be provided.
-  CliSpec& required(const std::string& name, const std::string& help);
   /// Documents a positional argument (parse() rejects positionals unless at
   /// least one is declared).
   CliSpec& positional(const std::string& name, const std::string& help);
@@ -100,9 +96,9 @@ class CliSpec {
   [[nodiscard]] std::string help_text(const std::string& program) const;
 
   /// Parses and validates argv against the registered flags: unknown flags
-  /// and missing required flags are errors; typed flags must parse; defaults
-  /// are injected so single-argument getters always succeed. `--help` short-
-  /// circuits validation and sets help_requested() instead.
+  /// are errors; typed flags must parse; defaults are injected so
+  /// single-argument getters always succeed. `--help` short-circuits
+  /// validation and sets help_requested() instead.
   [[nodiscard]] StatusOr<CliArgs> parse(int argc,
                                         const char* const* argv) const;
 
@@ -118,8 +114,7 @@ class CliSpec {
     std::string name;
     std::string help;
     Type type = Type::kString;
-    bool required = false;
-    std::string fallback;  ///< printable default ("" for required/switch)
+    std::string fallback;  ///< printable default ("" for a switch)
   };
   struct Positional {
     std::string name;

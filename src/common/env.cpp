@@ -19,16 +19,6 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback) {
   return parsed;
 }
 
-double env_double(const std::string& name, double fallback) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe) -- startup-only, no setenv in tree
-  const char* v = std::getenv(name.c_str());
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0') return fallback;
-  return parsed;
-}
-
 std::string env_string(const std::string& name, const std::string& fallback) {
   // NOLINTNEXTLINE(concurrency-mt-unsafe) -- startup-only, no setenv in tree
   const char* v = std::getenv(name.c_str());

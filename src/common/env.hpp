@@ -1,5 +1,6 @@
-// Environment-variable knobs used by bench harnesses to trade fidelity for
-// wall-clock time (e.g. IOGUARD_TRIALS, IOGUARD_HORIZON_FACTOR).
+// Environment-variable knobs: the bench harnesses' trial counts and seed
+// (IOGUARD_TRIALS, IOGUARD_MIN_JOBS, IOGUARD_SEED), their report directory
+// (IOGUARD_BENCH_OUT) and the default worker count (IOGUARD_JOBS).
 #pragma once
 
 #include <cstdint>
@@ -9,9 +10,6 @@ namespace ioguard {
 
 /// Reads an integer env var; returns `fallback` when unset or malformed.
 std::int64_t env_int(const std::string& name, std::int64_t fallback);
-
-/// Reads a double env var; returns `fallback` when unset or malformed.
-double env_double(const std::string& name, double fallback);
 
 /// Reads a string env var; returns `fallback` when unset.
 std::string env_string(const std::string& name, const std::string& fallback);

@@ -7,15 +7,6 @@
 
 namespace ioguard {
 
-const char* to_string(JitterChannel channel) {
-  switch (channel) {
-    case JitterChannel::kPChannel: return "P";
-    case JitterChannel::kRChannel: return "R";
-    case JitterChannel::kFifo: return "fifo";
-  }
-  return "?";
-}
-
 JitterRecorder::JitterRecorder(std::size_t num_vms, Cycle cycles_per_slot)
     : cycles_per_slot_(cycles_per_slot) {
   IOGUARD_CHECK(num_vms >= 1);

@@ -37,9 +37,6 @@ enum class JitterChannel : std::uint8_t {
   kFifo = 2,       ///< baseline systems' shared FIFO path
 };
 
-/// Prometheus label value for a channel ("P", "R", "fifo").
-[[nodiscard]] const char* to_string(JitterChannel channel);
-
 /// Worst channel deviation of one task, in slots.
 struct TaskJitter {
   std::uint32_t task = 0;

@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.hpp"
 
@@ -41,13 +40,6 @@ OnlineStats OnlineStats::from_raw(const Raw& raw) {
   s.max_ = raw.max;
   return s;
 }
-
-double OnlineStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
 void SampleSet::merge(const SampleSet& other) {
   if (other.samples_.empty()) return;
@@ -92,17 +84,6 @@ double SampleSet::mean() const {
   double s = 0.0;
   for (double x : samples_) s += x;
   return s / static_cast<double>(samples_.size());
-}
-
-double SampleSet::min() {
-  IOGUARD_CHECK(!samples_.empty());
-  ensure_sorted();
-  return samples_.front();
-}
-
-double SampleSet::min() const {
-  IOGUARD_CHECK(!samples_.empty());
-  return *std::min_element(samples_.begin(), samples_.end());
 }
 
 double SampleSet::max() {

@@ -1,5 +1,5 @@
 // Online statistics accumulators used by the metrics pipeline:
-// Welford mean/variance, min/max, and a percentile-capable sample reservoir.
+// Welford running mean, min/max, and a percentile-capable sample reservoir.
 #pragma once
 
 #include <cstddef>
@@ -9,13 +9,14 @@
 
 namespace ioguard {
 
-/// Numerically stable running mean / variance / extrema (Welford).
+/// Numerically stable running mean and extrema (Welford). The second moment
+/// m2 is kept and merged too, because checkpoint records carry it.
 class OnlineStats {
  public:
   /// Exact internal state, for bit-faithful checkpoint serialization: an
   /// accumulator restored via from_raw(raw()) produces byte-identical
-  /// mean/variance/extrema to the original, including the empty-state
-  /// sentinels (min = +inf, max = -inf).
+  /// mean/extrema to the original, including the empty-state sentinels
+  /// (min = +inf, max = -inf).
   struct Raw {
     std::uint64_t n = 0;
     double mean = 0.0;
@@ -34,8 +35,6 @@ class OnlineStats {
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;  ///< sample variance (n-1)
-  [[nodiscard]] double stddev() const;
   /// NaN when no samples: an empty accumulator has no extrema, and a silent
   /// 0.0 would read as a genuine observed latency downstream.
   [[nodiscard]] double min() const {
@@ -81,8 +80,6 @@ class SampleSet {
   [[nodiscard]] double percentile(double p) const;
   [[nodiscard]] double median() { return percentile(50.0); }
   [[nodiscard]] double mean() const;
-  [[nodiscard]] double min();
-  [[nodiscard]] double min() const;
   [[nodiscard]] double max();
   [[nodiscard]] double max() const;
 

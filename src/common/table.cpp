@@ -48,28 +48,6 @@ void TextTable::render(std::ostream& os) const {
   emit_rule();
 }
 
-void TextTable::render_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      const std::string& cell = row[c];
-      if (cell.find_first_of(",\"\n") != std::string::npos) {
-        os << '"';
-        for (char ch : cell) {
-          if (ch == '"') os << '"';
-          os << ch;
-        }
-        os << '"';
-      } else {
-        os << cell;
-      }
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-}
-
 std::string fmt_double(double v, int precision) {
   std::string out;
   Appender(&out).put_fixed(v, precision);

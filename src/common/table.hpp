@@ -23,8 +23,7 @@ class TextTable {
 
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }
 
-  void render(std::ostream& os) const;      ///< aligned, boxed with '|'
-  void render_csv(std::ostream& os) const;  ///< RFC-4180-ish CSV
+  void render(std::ostream& os) const;  ///< aligned, boxed with '|'
 
  private:
   template <class T>

@@ -10,19 +10,12 @@
 namespace ioguard::core {
 
 const iodev::DeviceSpec& case_study_device_spec(DeviceId id) {
-  using workload::CaseStudyDevice;
-  switch (static_cast<CaseStudyDevice>(id.value)) {
-    case CaseStudyDevice::kEthernet:
-      return iodev::device_spec(iodev::DeviceKind::kEthernet);
-    case CaseStudyDevice::kFlexRay:
-      return iodev::device_spec(iodev::DeviceKind::kFlexRay);
-    case CaseStudyDevice::kCan:
-      return iodev::device_spec(iodev::DeviceKind::kCan);
-    case CaseStudyDevice::kSpi:
-      return iodev::device_spec(iodev::DeviceKind::kSpi);
-  }
-  IOGUARD_CHECK_MSG(false, "unknown case-study device");
-  __builtin_unreachable();
+  // Indexed by workload::CaseStudyDevice.
+  static const iodev::DeviceSpec kDevices[workload::kCaseStudyDeviceCount] = {
+      {"eth0"}, {"flexray0"}, {"can0"}, {"spi0"}};
+  IOGUARD_CHECK_MSG(id.value < workload::kCaseStudyDeviceCount,
+                    "unknown case-study device");
+  return kDevices[id.value];
 }
 
 namespace {

@@ -1,6 +1,5 @@
 #include "core/priority_queue.hpp"
 
-#include <bit>
 #include <tuple>
 
 #include "common/check.hpp"
@@ -84,19 +83,6 @@ bool HwPriorityQueue::consume_one_slot(EntryHandle h) {
   return --p.remaining == 0;
 }
 
-void HwPriorityQueue::set_deadline(EntryHandle h, Slot absolute_deadline) {
-  IOGUARD_CHECK(valid(h));
-  entries_[h].slot.absolute_deadline = absolute_deadline;
-  if (!cache_valid_) return;
-  if (h == cached_best_) {
-    // The winner's key changed; it may no longer win. Re-evaluate lazily.
-    cache_valid_ = false;
-  } else if (order_key(entries_[h].slot, h) <
-             order_key(entries_[cached_best_].slot, cached_best_)) {
-    cached_best_ = h;
-  }
-}
-
 void HwPriorityQueue::remove(EntryHandle h) {
   IOGUARD_CHECK(valid(h));
   entries_[h].valid = false;
@@ -109,10 +95,6 @@ std::vector<EntryHandle> HwPriorityQueue::live_handles() const {
   for (std::size_t h = 0; h < entries_.size(); ++h)
     if (entries_[h].valid) out.push_back(static_cast<EntryHandle>(h));
   return out;
-}
-
-std::uint32_t HwPriorityQueue::comparator_depth() const {
-  return static_cast<std::uint32_t>(std::bit_width(entries_.size() - 1));
 }
 
 }  // namespace ioguard::core

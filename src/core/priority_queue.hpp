@@ -58,9 +58,6 @@ class HwPriorityQueue {
   /// Returns true when the entry reached zero (caller should remove it).
   bool consume_one_slot(EntryHandle h);
 
-  /// Random-access write of the deadline field (used by ageing/ablations).
-  void set_deadline(EntryHandle h, Slot absolute_deadline);
-
   void remove(EntryHandle h);
 
   [[nodiscard]] bool empty() const { return live_ == 0; }
@@ -71,9 +68,6 @@ class HwPriorityQueue {
 
   /// All live handles (test/instrumentation aid).
   [[nodiscard]] std::vector<EntryHandle> live_handles() const;
-
-  /// Comparator-tree depth of a hardware implementation of this capacity.
-  [[nodiscard]] std::uint32_t comparator_depth() const;
 
  private:
   struct Entry {
@@ -87,8 +81,7 @@ class HwPriorityQueue {
   // Cached result of the comparator tree. Hardware evaluates the tree
   // combinationally every cycle; the model only re-evaluates (O(capacity)
   // scan) when an operation could have changed the winner: removal of the
-  // cached best or a deadline rewrite of it. Inserts and deadline rewrites
-  // of other entries update the cache with a single comparison using the
+  // cached best. Inserts update the cache with a single comparison using the
   // same total order as the scan -- (deadline, release, job id, handle) --
   // so peek_earliest() returns bit-identical handles either way.
   mutable EntryHandle cached_best_ = kInvalidHandle;

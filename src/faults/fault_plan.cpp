@@ -222,9 +222,9 @@ StatusOr<FaultPlan> FaultPlan::canned(std::string_view name) {
     }
   }
   std::string names;
-  for (const auto& c : kCanned) {
+  for (const auto& c : canned_plan_names()) {
     if (!names.empty()) names += ", ";
-    names += c.name;
+    names += c;
   }
   return NotFoundError("unknown fault plan '" + std::string(name) +
                        "' (canned plans: " + names + ")");

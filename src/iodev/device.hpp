@@ -1,53 +1,18 @@
-// Physical I/O device models.
+// Physical I/O devices as the hypervisor sees them.
 //
-// Devices are characterized by their link bandwidth and a fixed per-operation
-// overhead (protocol framing, controller setup). The case study's data plane
-// matches the paper: raw inputs arrive over 1 Gbps Ethernet and results leave
-// over 10 Mbps FlexRay; safety peripherals sit on CAN / SPI.
+// The case study's data plane matches the paper: raw inputs arrive over
+// Ethernet and results leave over FlexRay; safety peripherals sit on CAN /
+// SPI. A job's service demand comes from the task table (the automotive
+// database's io_demand_us, in slots), not from a model of the device's
+// link, so a device carries only its name.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <vector>
-
-#include "common/types.hpp"
 
 namespace ioguard::iodev {
 
-enum class DeviceKind : std::uint8_t {
-  kEthernet,
-  kFlexRay,
-  kCan,
-  kSpi,
-  kI2c,
-  kUart,
-  kGpio,
-};
-
-[[nodiscard]] const char* to_string(DeviceKind k);
-
-/// Static device characteristics.
 struct DeviceSpec {
-  DeviceKind kind = DeviceKind::kGpio;
-  std::string name;
-  std::uint64_t bandwidth_bps = 0;  ///< payload bandwidth of the physical link
-  Cycle fixed_op_cycles = 0;        ///< per-operation setup/framing overhead
-  std::uint32_t max_frame_bytes = 0;///< largest single transfer unit
+  std::string name;  ///< e.g. "eth0"; names the device in diagnostics
 };
-
-/// Catalog entry lookup (SPI, I2C, UART, GPIO, CAN, Ethernet, FlexRay).
-[[nodiscard]] const DeviceSpec& device_spec(DeviceKind kind);
-
-/// All catalog entries.
-[[nodiscard]] const std::vector<DeviceSpec>& device_catalog();
-
-/// Cycles to move `payload_bytes` through the device (fixed + serialization).
-[[nodiscard]] Cycle service_cycles(const DeviceSpec& spec,
-                                   std::uint32_t payload_bytes);
-
-/// Same, rounded up to whole scheduler slots.
-[[nodiscard]] Slot service_slots(const DeviceSpec& spec,
-                                 std::uint32_t payload_bytes,
-                                 Cycle cycles_per_slot = kDefaultCyclesPerSlot);
 
 }  // namespace ioguard::iodev

@@ -35,10 +35,7 @@ void Nic::tick(Cycle now) {
     to_router_.put(flit, now);
     --credits_;
     --f.flits_left;
-    if (f.flits_left == 0) {
-      ++packets_sent_;
-      tx_queue_.pop_front();
-    }
+    if (f.flits_left == 0) tx_queue_.pop_front();
   }
 
   // Receive: drain at most one flit per cycle from the router local output.
@@ -60,13 +57,10 @@ void Nic::tick(Cycle now) {
       Packet done = it->packet;
       rx_partial_.erase(it);
       done.delivered_at = now;
-      ++packets_received_;
       if (on_delivery_) on_delivery_(done, now);
     }
   }
 }
-
-bool Nic::idle() const { return tx_queue_.empty() && rx_partial_.empty(); }
 
 Mesh::Mesh(const MeshConfig& config) : config_(config) {
   IOGUARD_CHECK(config.width > 0 && config.height > 0);
@@ -77,12 +71,10 @@ Mesh::Mesh(const MeshConfig& config) : config_(config) {
   nics_.reserve(n);
   router_awake_.assign(n, 0);
   nic_awake_.assign(n, 0);
-  busy_.assign(2 * n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId id{static_cast<std::uint32_t>(i)};
     routers_.push_back(std::make_unique<Router>(
-        xy_of(id), RouterConfig{config_.fifo_depth, config_.arbitration},
-        to_xy));
+        xy_of(id), RouterConfig{config_.fifo_depth}, to_xy));
     nics_.push_back(
         std::make_unique<Nic>(id, config_.flit_bytes, config_.fifo_depth));
   }
@@ -123,13 +115,10 @@ Mesh::Mesh(const MeshConfig& config) : config_(config) {
     }
   }
 
-  // Default delivery handler records latency stats.
-  for (std::size_t i = 0; i < n; ++i) {
-    nics_[i]->set_delivery_handler([this](const Packet& p, Cycle) {
-      ++delivered_;
-      latencies_.add(static_cast<double>(p.latency()));
-    });
-  }
+  // Default delivery handler counts the delivery.
+  for (std::size_t i = 0; i < n; ++i)
+    nics_[i]->set_delivery_handler(
+        [this](const Packet&, Cycle) { ++delivered_; });
 }
 
 NodeId Mesh::node_at(int x, int y) const {
@@ -143,23 +132,12 @@ XY Mesh::xy_of(NodeId node) const {
             static_cast<int>(node.value) / config_.width};
 }
 
-const Router& Mesh::router(NodeId node) const {
-  IOGUARD_CHECK(node.value < node_count());
-  return *routers_[node.value];
-}
-
-const Nic& Mesh::nic(NodeId node) const {
-  IOGUARD_CHECK(node.value < node_count());
-  return *nics_[node.value];
-}
-
 void Mesh::send(Packet packet, Cycle now) {
   IOGUARD_CHECK(packet.src.value < node_count());
   IOGUARD_CHECK(packet.dst.value < node_count());
   if (packet.id == 0) packet.id = next_packet_id_++;
   nics_[packet.src.value]->send(packet, now);
   nic_awake_[packet.src.value] = 1;
-  mark_busy(node_count() + packet.src.value, true);
 }
 
 void Mesh::set_delivery_handler(NodeId node, Nic::DeliveryHandler handler) {
@@ -167,19 +145,8 @@ void Mesh::set_delivery_handler(NodeId node, Nic::DeliveryHandler handler) {
   nics_[node.value]->set_delivery_handler(
       [this, handler = std::move(handler)](const Packet& p, Cycle now) {
         ++delivered_;
-        latencies_.add(static_cast<double>(p.latency()));
         handler(p, now);
       });
-}
-
-void Mesh::mark_busy(std::size_t component, bool busy) {
-  if (busy_[component] == busy) return;
-  busy_[component] = busy;
-  if (busy) {
-    ++busy_count_;
-  } else {
-    --busy_count_;
-  }
 }
 
 void Mesh::tick(Cycle now) {
@@ -190,15 +157,12 @@ void Mesh::tick(Cycle now) {
     if (router_awake_[i] == 0) continue;
     Router& r = *routers_[i];
     r.tick(now);
-    const bool router_idle = r.idle();
-    mark_busy(i, !router_idle);
-    router_awake_[i] = !router_idle || r.flit_inbound();
+    router_awake_[i] = !r.idle() || r.flit_inbound();
   }
   for (std::size_t i = 0; i < n; ++i) {
     if (nic_awake_[i] == 0) continue;
     Nic& nic = *nics_[i];
     nic.tick(now);
-    mark_busy(n + i, !nic.idle());
     nic_awake_[i] = !nic.parkable();
   }
 }

@@ -12,7 +12,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "noc/router.hpp"
 
@@ -23,7 +22,6 @@ struct MeshConfig {
   int height = 5;
   std::size_t fifo_depth = 8;
   std::uint32_t flit_bytes = 16;  ///< payload bytes per body flit
-  Arbitration arbitration = Arbitration::kRoundRobin;
 };
 
 /// Per-node network interface: serializes packets to flits on the router's
@@ -47,14 +45,15 @@ class Nic {
   [[nodiscard]] Link* to_router() { return &to_router_; }
   [[nodiscard]] Link* from_router() { return &from_router_; }
   [[nodiscard]] std::size_t fifo_depth() const { return fifo_depth_; }
-  [[nodiscard]] bool idle() const;
+  /// Nothing queued to send and no packet partly received.
+  [[nodiscard]] bool idle() const {
+    return tx_queue_.empty() && rx_partial_.empty();
+  }
   /// Nothing to send and no flit arriving: ticks are no-ops until a send()
   /// or a flit from the router.
   [[nodiscard]] bool parkable() const {
     return tx_queue_.empty() && !from_router_.busy();
   }
-  [[nodiscard]] std::uint64_t packets_sent() const { return packets_sent_; }
-  [[nodiscard]] std::uint64_t packets_received() const { return packets_received_; }
 
  private:
   NodeId node_;
@@ -74,8 +73,6 @@ class Nic {
   std::vector<InFlight> rx_partial_;  // keyed linearly by packet id (small)
 
   DeliveryHandler on_delivery_;
-  std::uint64_t packets_sent_ = 0;
-  std::uint64_t packets_received_ = 0;
 };
 
 /// The full mesh: routers, inter-router links and NICs, ticked as one unit.
@@ -113,13 +110,14 @@ class Mesh {
                                         std::uint32_t payload_bytes) const;
 
   /// Every router and NIC is idle.
-  [[nodiscard]] bool idle() const { return busy_count_ == 0; }
-  [[nodiscard]] SampleSet& latencies() { return latencies_; }
+  [[nodiscard]] bool idle() const {
+    for (const auto& r : routers_)
+      if (!r->idle()) return false;
+    for (const auto& nic : nics_)
+      if (!nic->idle()) return false;
+    return true;
+  }
   [[nodiscard]] std::uint64_t packets_delivered() const { return delivered_; }
-
-  /// Per-node router, for per-port/link telemetry counters.
-  [[nodiscard]] const Router& router(NodeId node) const;
-  [[nodiscard]] const Nic& nic(NodeId node) const;
 
   /// Attaches a fault injector to every router (not owned); router `i`
   /// becomes kLinkFlitLoss site `i`. Pass nullptr to detach.
@@ -129,8 +127,6 @@ class Mesh {
   [[nodiscard]] std::uint64_t packets_dropped() const;
 
  private:
-  void mark_busy(std::size_t component, bool busy);
-
   MeshConfig config_;
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<Nic>> nics_;
@@ -139,13 +135,8 @@ class Mesh {
   // send() for the source NIC; tick() lowers them for parkable components.
   std::vector<std::uint8_t> router_awake_;
   std::vector<std::uint8_t> nic_awake_;
-  // Non-idle marks (routers, then NICs) and their count, kept for the
-  // components tick() reaches, so idle() needs no scan.
-  std::vector<std::uint8_t> busy_;
-  std::size_t busy_count_ = 0;
   std::uint64_t next_packet_id_ = 1;
   std::uint64_t delivered_ = 0;
-  SampleSet latencies_;
 };
 
 }  // namespace ioguard::noc

@@ -4,16 +4,6 @@
 
 namespace ioguard::noc {
 
-const char* to_string(PacketKind k) {
-  switch (k) {
-    case PacketKind::kIoRequest: return "io_request";
-    case PacketKind::kIoResponse: return "io_response";
-    case PacketKind::kControl: return "control";
-    case PacketKind::kBackground: return "background";
-  }
-  return "?";
-}
-
 std::size_t flits_for(std::uint32_t payload_bytes, std::uint32_t flit_bytes) {
   IOGUARD_CHECK(flit_bytes > 0);
   return 1 + (payload_bytes + flit_bytes - 1) / flit_bytes;

@@ -20,18 +20,13 @@ enum class PacketKind : std::uint8_t {
   kBackground,   ///< synthetic background traffic (calibration)
 };
 
-[[nodiscard]] const char* to_string(PacketKind k);
-
 /// A network packet. `tag` is opaque to the NoC and carries the upper
-/// layers' identifiers (e.g. a job index). `priority` matters only under
-/// priority arbitration (lower value = more urgent), the knob a
-/// predictability-focused NoC uses to protect I/O traffic.
+/// layers' identifiers (e.g. a job index).
 struct Packet {
   std::uint64_t id = 0;
   NodeId src;
   NodeId dst;
   PacketKind kind = PacketKind::kIoRequest;
-  std::uint8_t priority = 4;  ///< 0 = most urgent
   std::uint32_t payload_bytes = 0;
   std::uint64_t tag = 0;
 

@@ -4,22 +4,10 @@
 
 namespace ioguard::noc {
 
-const char* to_string(Port p) {
-  switch (p) {
-    case Port::kNorth: return "N";
-    case Port::kEast: return "E";
-    case Port::kSouth: return "S";
-    case Port::kWest: return "W";
-    case Port::kLocal: return "L";
-  }
-  return "?";
-}
-
 void Link::put(Flit flit, Cycle now) {
   IOGUARD_CHECK_MSG(!flit_.has_value(), "link already carries a flit");
   flit_ = flit;
   flit_arrival_ = now + 1;
-  ++flits_carried_;
   if (wake_ != nullptr) *wake_ = 1;
 }
 
@@ -60,10 +48,10 @@ Port route_xy(XY here, XY dst) {
 
 Router::Router(XY position, const RouterConfig& config,
                std::function<XY(NodeId)> node_to_xy)
-    : pos_(position), config_(config), node_to_xy_(std::move(node_to_xy)) {
+    : pos_(position), node_to_xy_(std::move(node_to_xy)) {
   inputs_.reserve(kPortCount);
   for (std::size_t i = 0; i < kPortCount; ++i)
-    inputs_.emplace_back(config_.fifo_depth);
+    inputs_.emplace_back(config.fifo_depth);
 }
 
 void Router::connect_in(Port port, Link* link) {
@@ -84,7 +72,6 @@ Port Router::output_for(const Flit& flit) const {
 }
 
 void Router::drop_flit(Input& in, const Flit& flit, Cycle now) {
-  ++flits_dropped_;
   // The flit still consumed a wire cycle and an (implicit) buffer slot;
   // return the credit so the upstream router never wedges on the loss.
   in.link->put_credit(now);
@@ -127,10 +114,8 @@ void Router::tick(Cycle now) {
     if (!out.link) continue;
 
     if (!out.owner) {
-      // Scan inputs whose head-of-line flit is a HEAD flit routed to this
-      // output; round-robin rotation, optionally refined by packet priority.
-      std::optional<std::size_t> best;
-      std::uint8_t best_priority = 0xff;
+      // The first input in round-robin rotation whose head-of-line flit is
+      // a HEAD flit routed to this output wins it.
       for (std::size_t k = 0; k < inputs_.size(); ++k) {
         const std::size_t i = (out.rr_next + k) % inputs_.size();
         const Input& in = inputs_[i];
@@ -138,18 +123,9 @@ void Router::tick(Cycle now) {
         const Flit& f = in.fifo.front();
         if (!f.head) continue;
         if (static_cast<std::size_t>(output_for(f)) != o) continue;
-        if (config_.arbitration == Arbitration::kRoundRobin) {
-          best = i;
-          break;  // first in rotation wins
-        }
-        if (f.header.priority < best_priority) {
-          best = i;
-          best_priority = f.header.priority;
-        }
-      }
-      if (best) {
-        out.owner = best;
-        out.rr_next = (*best + 1) % inputs_.size();
+        out.owner = i;
+        out.rr_next = (i + 1) % inputs_.size();
+        break;
       }
     }
 
@@ -165,13 +141,8 @@ void Router::tick(Cycle now) {
     IOGUARD_CHECK(popped.has_value());
     out.link->put(*popped, now);
     --out.credits;
-    ++flits_routed_;
-    ++flits_by_port_[o];
     if (in.link) in.link->put_credit(now);  // freed one FIFO slot upstream
-    if (popped->tail) {
-      ++packets_by_port_[o];
-      out.owner.reset();
-    }
+    if (popped->tail) out.owner.reset();
   }
 }
 

@@ -24,8 +24,6 @@ namespace ioguard::noc {
 enum class Port : std::uint8_t { kNorth = 0, kEast, kSouth, kWest, kLocal };
 inline constexpr std::size_t kPortCount = 5;
 
-[[nodiscard]] const char* to_string(Port p);
-
 /// One-cycle link between an upstream output and a downstream input. Flits
 /// written at cycle t become visible downstream at t+1. Credits travel the
 /// same way in the opposite direction. The wire is free for the next flit
@@ -52,12 +50,8 @@ class Link {
 
   [[nodiscard]] bool busy() const { return flit_.has_value(); }
 
-  /// Total flits this wire has carried (per-link telemetry counter).
-  [[nodiscard]] std::uint64_t flits_carried() const { return flits_carried_; }
-
  private:
   std::optional<Flit> flit_;
-  std::uint64_t flits_carried_ = 0;
   std::uint8_t* wake_ = nullptr;
   Cycle flit_arrival_ = 0;
   // Credits in flight: (arrival cycle, count) pairs collapse to two buckets
@@ -78,15 +72,8 @@ struct XY {
 /// XY dimension-order routing: returns the output port toward `dst`.
 [[nodiscard]] Port route_xy(XY here, XY dst);
 
-/// Output-port allocation policy.
-enum class Arbitration : std::uint8_t {
-  kRoundRobin,  ///< fair rotation (the Blueshell default)
-  kPriority,    ///< lowest packet priority value wins; round-robin on ties
-};
-
 struct RouterConfig {
   std::size_t fifo_depth = 8;  ///< input FIFO capacity, flits
-  Arbitration arbitration = Arbitration::kRoundRobin;
 };
 
 /// One mesh router. Wiring: for each port, an optional inbound Link (flits
@@ -106,16 +93,6 @@ class Router {
   void tick(Cycle now);
 
   [[nodiscard]] XY position() const { return pos_; }
-  [[nodiscard]] std::uint64_t flits_routed() const { return flits_routed_; }
-
-  /// Flits forwarded through output `port` (per-link load telemetry).
-  [[nodiscard]] std::uint64_t flits_routed(Port port) const {
-    return flits_by_port_[static_cast<std::size_t>(port)];
-  }
-  /// Whole packets (tail flits) forwarded through output `port`.
-  [[nodiscard]] std::uint64_t packets_routed(Port port) const {
-    return packets_by_port_[static_cast<std::size_t>(port)];
-  }
 
   /// True when all FIFOs are empty and no output is mid-packet.
   [[nodiscard]] bool idle() const;
@@ -136,7 +113,6 @@ class Router {
   [[nodiscard]] std::uint64_t packets_dropped() const {
     return packets_dropped_;
   }
-  [[nodiscard]] std::uint64_t flits_dropped() const { return flits_dropped_; }
 
  private:
   struct Input {
@@ -155,17 +131,12 @@ class Router {
   [[nodiscard]] Port output_for(const Flit& flit) const;
 
   XY pos_;
-  RouterConfig config_;
   std::function<XY(NodeId)> node_to_xy_;
   std::vector<Input> inputs_;
   std::array<Output, kPortCount> outputs_;
-  std::uint64_t flits_routed_ = 0;
-  std::array<std::uint64_t, kPortCount> flits_by_port_{};
-  std::array<std::uint64_t, kPortCount> packets_by_port_{};
   faults::FaultInjector* injector_ = nullptr;
   std::size_t fault_site_ = 0;
   std::uint64_t packets_dropped_ = 0;
-  std::uint64_t flits_dropped_ = 0;
 
   void drop_flit(Input& in, const Flit& flit, Cycle now);
 };

@@ -1,7 +1,5 @@
 #include "sched/edf_ref.hpp"
 
-#include <algorithm>
-#include <optional>
 #include <queue>
 
 #include "common/check.hpp"
@@ -77,37 +75,6 @@ RefSimResult simulate_edf(const std::vector<workload::Job>& trace,
   }
   finalize(result, horizon);
   return result;
-}
-
-RefSimResult simulate_fifo(const std::vector<workload::Job>& trace,
-                           const SupplyFn& supply, Slot horizon) {
-  RefSimResult result = init_outcomes(trace);
-  std::queue<std::size_t> fifo;
-  std::size_t next = 0;
-  std::optional<LiveJob> current;
-
-  // IOGUARD_LINT_ALLOW(LNT009: analytic reference simulator, deliberately dense)
-  for (Slot t = 0; t < horizon; ++t) {
-    while (next < trace.size() && trace[next].release <= t) fifo.push(next++);
-    if (!supply(t)) continue;
-    if (!current && !fifo.empty()) {
-      const std::size_t idx = fifo.front();
-      fifo.pop();
-      current = LiveJob{idx, trace[idx].absolute_deadline, trace[idx].wcet};
-    }
-    if (!current) continue;
-    ++result.busy_slots;
-    if (--current->remaining == 0) {
-      result.jobs[current->index].completion = t + 1;
-      current.reset();
-    }
-  }
-  finalize(result, horizon);
-  return result;
-}
-
-SupplyFn full_supply() {
-  return [](Slot) { return true; };
 }
 
 }  // namespace ioguard::sched

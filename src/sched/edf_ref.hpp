@@ -1,7 +1,5 @@
-// Reference slot-level schedulers used to validate the analysis empirically:
-// a preemptive-EDF simulator over an arbitrary slot supply, and a
-// non-preemptive FIFO simulator (the legacy I/O-controller behaviour the
-// paper identifies as the hardware-level predictability problem).
+// Reference slot-level scheduler used to validate the analysis empirically:
+// a preemptive-EDF simulator over an arbitrary slot supply.
 #pragma once
 
 #include <functional>
@@ -39,16 +37,5 @@ struct RefSimResult {
 /// that never finish count as misses.
 RefSimResult simulate_edf(const std::vector<workload::Job>& trace,
                           const SupplyFn& supply, Slot horizon);
-
-/// Simulates a non-preemptive FIFO queue: jobs are served in arrival order;
-/// once started a job occupies every supplied slot until it finishes.
-RefSimResult simulate_fifo(const std::vector<workload::Job>& trace,
-                           const SupplyFn& supply, Slot horizon);
-
-/// Supply that is always available (dedicated resource).
-[[nodiscard]] SupplyFn full_supply();
-
-/// Supply given by the free slots of a repeating Time Slot Table.
-class TimeSlotTable;  // fwd (sched/slot_table.hpp)
 
 }  // namespace ioguard::sched

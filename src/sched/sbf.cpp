@@ -80,10 +80,4 @@ Slot sbf_server(const ServerParams& gamma, Slot t) {
   return full + partial;
 }
 
-Slot dbf_sporadic(Slot period, Slot wcet, Slot deadline, Slot t) {
-  IOGUARD_CHECK(period > 0 && wcet > 0 && deadline > 0);
-  if (t < deadline) return 0;
-  return ((t - deadline) / period + 1) * wcet;
-}
-
 }  // namespace ioguard::sched

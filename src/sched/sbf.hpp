@@ -5,8 +5,8 @@
 //  * dbf(Gamma, t)  -- Eq. (3): demand of a periodic server Gamma=(Pi,Theta).
 //  * sbf(Gamma, t)  -- Eq. (8): minimum supply of the periodic resource
 //    model (Shin & Lee) implementing a VM's server.
-//  * dbf(tau, t)    -- Eq. (9): demand of a sporadic task tau=(T,C,D), and
-//    DemandWalk, its sum over a task set at each of the set's demand steps.
+//  * dbf(tau, t)    -- Eq. (9): demand of a sporadic task tau=(T,C,D),
+//    summed over a task set by DemandWalk at each of the set's demand steps.
 #pragma once
 
 #include <algorithm>
@@ -69,10 +69,6 @@ class TableSupply {
 
 /// Eq. (8): periodic-resource supply bound function sbf(Gamma_i, t).
 [[nodiscard]] Slot sbf_server(const ServerParams& gamma, Slot t);
-
-/// Eq. (9): dbf(tau_k, t) = (floor((t - D_k)/T_k) + 1) * C_k for t >= D_k,
-/// else 0.
-[[nodiscard]] Slot dbf_sporadic(Slot period, Slot wcet, Slot deadline, Slot t);
 
 /// The demand steps t = D_k + m*T_k of a task set below `bound`, walked in
 /// ascending order with each instant visited once. dbf(t), Eq. (9) summed

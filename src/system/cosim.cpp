@@ -159,7 +159,6 @@ CosimResult run_cosim(const CosimConfig& config) {
           p.src = vm_node(j.vm);
           p.dst = device_node(j.device);
           p.kind = noc::PacketKind::kIoRequest;
-          p.priority = 1;
           p.payload_bytes = 32;  // command descriptor
           p.tag = j.id.value;
           mesh.send(p, now);
@@ -181,7 +180,6 @@ CosimResult run_cosim(const CosimConfig& config) {
           p.src = device_node(done.job.device);
           p.dst = vm_node(done.job.vm);
           p.kind = noc::PacketKind::kIoResponse;
-          p.priority = 1;
           p.payload_bytes = done.job.payload_bytes;
           p.tag = done.job.id.value;
           mesh.send(p, now);
@@ -198,7 +196,6 @@ CosimResult run_cosim(const CosimConfig& config) {
           p.dst = NodeId{static_cast<std::uint32_t>(
               16 + bg_rng.index(4))};  // memory nodes on row 3
           p.kind = noc::PacketKind::kBackground;
-          p.priority = 5;
           p.payload_bytes = 64;
           mesh.send(p, now);
         }

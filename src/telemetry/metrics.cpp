@@ -183,10 +183,4 @@ std::vector<MetricsRegistry::Entry> MetricsRegistry::entries() const {
   return out;
 }
 
-std::size_t MetricsRegistry::size() const {
-  std::size_t n = 0;
-  for (const auto& [name, fam] : families_) n += fam.by_labels.size();
-  return n;
-}
-
 }  // namespace ioguard::telemetry

@@ -131,8 +131,6 @@ class MetricsRegistry {
   };
   [[nodiscard]] std::vector<Entry> entries() const;
 
-  [[nodiscard]] std::size_t size() const;
-
   /// Transfers single-writer ownership to the calling thread at an external
   /// synchronization point (the post-fan-out barrier in ParallelRunner).
   /// Debug builds CHECK-fail on a mutation from any other thread without

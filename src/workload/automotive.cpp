@@ -64,12 +64,4 @@ const std::vector<AutomotiveEntry> kEntries = {
 
 const std::vector<AutomotiveEntry>& automotive_entries() { return kEntries; }
 
-double automotive_base_utilization() {
-  double u = 0.0;
-  for (const auto& e : kEntries)
-    u += static_cast<double>(e.io_demand_us) /
-         (static_cast<double>(e.period_ms) * 1000.0);
-  return u;
-}
-
 }  // namespace ioguard::workload

@@ -44,9 +44,4 @@ struct AutomotiveEntry {
 /// The 20 safety + 20 function entries (40 total), in a stable order.
 [[nodiscard]] const std::vector<AutomotiveEntry>& automotive_entries();
 
-/// Total utilization of the 40-entry table (per the paper, ~40% before
-/// synthetic filler is added -- see Sec. V-C "overall system utilization
-/// approximately 40%" for the base task sets).
-[[nodiscard]] double automotive_base_utilization();
-
 }  // namespace ioguard::workload

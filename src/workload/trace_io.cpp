@@ -1,51 +1,8 @@
 #include "workload/trace_io.hpp"
 
-#include <istream>
 #include <ostream>
-#include <sstream>
-#include <string>
 
 namespace ioguard::workload {
-
-namespace {
-
-std::vector<std::string> split_csv_line(const std::string& line) {
-  std::vector<std::string> cells;
-  std::string cell;
-  std::istringstream is(line);
-  while (std::getline(is, cell, ',')) cells.push_back(cell);
-  if (!line.empty() && line.back() == ',') cells.emplace_back();
-  return cells;
-}
-
-Status row_error(std::size_t line_no, const std::string& what) {
-  return InvalidArgumentError("CSV line " + std::to_string(line_no) + ": " +
-                              what);
-}
-
-StatusOr<std::uint64_t> to_u64(const std::string& s, std::size_t line_no) {
-  if (s.empty()) return row_error(line_no, "empty numeric cell");
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (!end || *end != '\0')
-    return row_error(line_no, "malformed numeric cell '" + s + "'");
-  return static_cast<std::uint64_t>(v);
-}
-
-StatusOr<TaskClass> parse_class(const std::string& s, std::size_t line_no) {
-  if (s == "safety") return TaskClass::kSafety;
-  if (s == "function") return TaskClass::kFunction;
-  if (s == "synthetic") return TaskClass::kSynthetic;
-  return row_error(line_no, "unknown task class: " + s);
-}
-
-StatusOr<TaskKind> parse_kind(const std::string& s, std::size_t line_no) {
-  if (s == "predefined") return TaskKind::kPredefined;
-  if (s == "runtime") return TaskKind::kRuntime;
-  return row_error(line_no, "unknown task kind: " + s);
-}
-
-}  // namespace
 
 void write_taskset_csv(std::ostream& os, const TaskSet& tasks) {
   os << "id,vm,device,name,class,kind,period,wcet,deadline,offset,payload\n";
@@ -55,81 +12,6 @@ void write_taskset_csv(std::ostream& os, const TaskSet& tasks) {
        << t.period << ',' << t.wcet << ',' << t.deadline << ',' << t.offset
        << ',' << t.payload_bytes << '\n';
   }
-}
-
-StatusOr<TaskSet> read_taskset_csv(std::istream& is) {
-  TaskSet out;
-  std::string line;
-  if (!std::getline(is, line))
-    return InvalidArgumentError("missing task-set CSV header");
-  std::size_t line_no = 1;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    const auto cells = split_csv_line(line);
-    if (cells.size() != 11)
-      return row_error(line_no, "task-set row needs 11 cells, got " +
-                                    std::to_string(cells.size()));
-    IoTaskSpec t;
-    IOGUARD_ASSIGN_OR_RETURN(const auto id, to_u64(cells[0], line_no));
-    IOGUARD_ASSIGN_OR_RETURN(const auto vm, to_u64(cells[1], line_no));
-    IOGUARD_ASSIGN_OR_RETURN(const auto device, to_u64(cells[2], line_no));
-    t.id = TaskId{static_cast<std::uint32_t>(id)};
-    t.vm = VmId{static_cast<std::uint32_t>(vm)};
-    t.device = DeviceId{static_cast<std::uint32_t>(device)};
-    t.name = cells[3];
-    IOGUARD_ASSIGN_OR_RETURN(t.cls, parse_class(cells[4], line_no));
-    IOGUARD_ASSIGN_OR_RETURN(t.kind, parse_kind(cells[5], line_no));
-    IOGUARD_ASSIGN_OR_RETURN(t.period, to_u64(cells[6], line_no));
-    IOGUARD_ASSIGN_OR_RETURN(t.wcet, to_u64(cells[7], line_no));
-    IOGUARD_ASSIGN_OR_RETURN(t.deadline, to_u64(cells[8], line_no));
-    IOGUARD_ASSIGN_OR_RETURN(t.offset, to_u64(cells[9], line_no));
-    IOGUARD_ASSIGN_OR_RETURN(const auto payload, to_u64(cells[10], line_no));
-    t.payload_bytes = static_cast<std::uint32_t>(payload);
-    out.add(std::move(t));
-  }
-  return out;
-}
-
-void write_trace_csv(std::ostream& os, const std::vector<Job>& trace) {
-  os << "id,task,vm,device,release,deadline,wcet,payload\n";
-  for (const auto& j : trace) {
-    os << j.id.value << ',' << j.task.value << ',' << j.vm.value << ','
-       << j.device.value << ',' << j.release << ',' << j.absolute_deadline
-       << ',' << j.wcet << ',' << j.payload_bytes << '\n';
-  }
-}
-
-StatusOr<std::vector<Job>> read_trace_csv(std::istream& is) {
-  std::vector<Job> out;
-  std::string line;
-  if (!std::getline(is, line))
-    return InvalidArgumentError("missing trace CSV header");
-  std::size_t line_no = 1;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    const auto cells = split_csv_line(line);
-    if (cells.size() != 8)
-      return row_error(line_no, "trace row needs 8 cells, got " +
-                                    std::to_string(cells.size()));
-    Job j;
-    IOGUARD_ASSIGN_OR_RETURN(const auto id, to_u64(cells[0], line_no));
-    IOGUARD_ASSIGN_OR_RETURN(const auto task, to_u64(cells[1], line_no));
-    IOGUARD_ASSIGN_OR_RETURN(const auto vm, to_u64(cells[2], line_no));
-    IOGUARD_ASSIGN_OR_RETURN(const auto device, to_u64(cells[3], line_no));
-    j.id = JobId{static_cast<std::uint32_t>(id)};
-    j.task = TaskId{static_cast<std::uint32_t>(task)};
-    j.vm = VmId{static_cast<std::uint32_t>(vm)};
-    j.device = DeviceId{static_cast<std::uint32_t>(device)};
-    IOGUARD_ASSIGN_OR_RETURN(j.release, to_u64(cells[4], line_no));
-    IOGUARD_ASSIGN_OR_RETURN(j.absolute_deadline, to_u64(cells[5], line_no));
-    IOGUARD_ASSIGN_OR_RETURN(j.wcet, to_u64(cells[6], line_no));
-    IOGUARD_ASSIGN_OR_RETURN(const auto payload, to_u64(cells[7], line_no));
-    j.payload_bytes = static_cast<std::uint32_t>(payload);
-    out.push_back(j);
-  }
-  return out;
 }
 
 }  // namespace ioguard::workload

@@ -1,29 +1,15 @@
-// CSV import/export for task sets and job traces, so workloads can be
-// inspected, versioned, or replayed from files.
+// CSV export of task sets (`ioguard_cli --export-tasks`), so a generated
+// workload can be inspected or versioned.
 //
-// Task-set columns:
-//   id,vm,device,name,class,kind,period,wcet,deadline,offset,payload
-// Job-trace columns:
-//   id,task,vm,device,release,deadline,wcet,payload
+// Columns: id,vm,device,name,class,kind,period,wcet,deadline,offset,payload
 #pragma once
 
 #include <iosfwd>
-#include <vector>
 
-#include "common/status.hpp"
 #include "workload/task.hpp"
 
 namespace ioguard::workload {
 
 void write_taskset_csv(std::ostream& os, const TaskSet& tasks);
-
-/// Parses a task-set CSV (header required). Malformed rows yield
-/// kInvalidArgument with the offending line number; TaskSet invariant
-/// violations (duplicate ids etc.) still fail the process-wide CHECK.
-[[nodiscard]] StatusOr<TaskSet> read_taskset_csv(std::istream& is);
-
-void write_trace_csv(std::ostream& os, const std::vector<Job>& trace);
-
-[[nodiscard]] StatusOr<std::vector<Job>> read_trace_csv(std::istream& is);
 
 }  // namespace ioguard::workload

@@ -5,6 +5,7 @@
 // ServerParams / task sets, and injected supply functions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -432,7 +433,12 @@ TEST(Diagnostics, ReportCountsAndRenders) {
   EXPECT_EQ(report.error_count(), 1u);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has(DiagCode::kSigJobUnderAllocated));
-  EXPECT_EQ(report.with_code(DiagCode::kSigJobUnderAllocated).size(), 1u);
+  EXPECT_EQ(std::count_if(report.diagnostics().begin(),
+                          report.diagnostics().end(),
+                          [](const Diagnostic& d) {
+                            return d.code == DiagCode::kSigJobUnderAllocated;
+                          }),
+            1);
 
   std::ostringstream text;
   report.render_text(text);

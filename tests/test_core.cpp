@@ -81,15 +81,6 @@ TEST(HwPriorityQueue, RandomAccessUpdateAndConsume) {
   EXPECT_THROW((void)q.params(h), CheckFailure);
 }
 
-TEST(HwPriorityQueue, SetDeadlineReprioritizes) {
-  HwPriorityQueue q(4);
-  auto a = q.insert(make_job(0, 0, 100, 1)).value();
-  auto b = q.insert(make_job(1, 0, 200, 1)).value();
-  EXPECT_EQ(q.peek_earliest().value(), a);
-  q.set_deadline(b, 50);  // random-access parameter write
-  EXPECT_EQ(q.peek_earliest().value(), b);
-}
-
 TEST(HwPriorityQueue, HandleReuseAfterRemove) {
   HwPriorityQueue q(2);
   auto a = q.insert(make_job(0, 0, 10, 1)).value();
@@ -98,13 +89,6 @@ TEST(HwPriorityQueue, HandleReuseAfterRemove) {
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(q.size(), 1u);
   EXPECT_EQ(q.live_handles().size(), 1u);
-}
-
-TEST(HwPriorityQueue, ComparatorDepthIsLog2) {
-  EXPECT_EQ(HwPriorityQueue(1).comparator_depth(), 0u);
-  EXPECT_EQ(HwPriorityQueue(2).comparator_depth(), 1u);
-  EXPECT_EQ(HwPriorityQueue(8).comparator_depth(), 3u);
-  EXPECT_EQ(HwPriorityQueue(9).comparator_depth(), 4u);
 }
 
 // ------------------------------------------------------------------- I/O pool
@@ -580,7 +564,7 @@ VirtManager make_manager(std::size_t num_vms,
   cfg.pool_capacity = 8;
   cfg.policy = policy;
   cfg.dispatch_overhead_slots = 0;  // slot-exact expectations below
-  return VirtManager(iodev::device_spec(iodev::DeviceKind::kSpi),
+  return VirtManager(iodev::DeviceSpec{"spi0"},
                      empty_predef, build.table, servers, cfg);
 }
 
@@ -621,7 +605,7 @@ TEST(VirtManager, PChannelHasPriorityOverRChannel) {
   VManagerConfig cfg;
   cfg.num_vms = 1;
   cfg.dispatch_overhead_slots = 0;  // slot-exact expectations below
-  VirtManager vm(iodev::device_spec(iodev::DeviceKind::kSpi), predef,
+  VirtManager vm(iodev::DeviceSpec{"spi0"}, predef,
                  build.table, servers, cfg);
 
   ASSERT_TRUE(vm.submit(make_job(0, 0, 100, 4, 0), 0));

@@ -59,7 +59,7 @@ TEST(Integration, MeshCarriesRequestsIntoHypervisorAndBack) {
   std::vector<sched::ServerParams> servers(4, sched::ServerParams{4, 1});
   core::VManagerConfig vc;
   vc.num_vms = 4;
-  core::VirtManager manager(iodev::device_spec(iodev::DeviceKind::kSpi),
+  core::VirtManager manager(iodev::DeviceSpec{"spi0"},
                             no_predef, build.table, servers, vc);
 
   const NodeId hyp_node = mesh.node_at(2, 2);
@@ -184,7 +184,7 @@ TEST(Integration, GschedDeliversServerBandwidthUnderSaturation) {
   core::VManagerConfig vc;
   vc.num_vms = 2;
   vc.pool_capacity = 64;
-  core::VirtManager manager(iodev::device_spec(iodev::DeviceKind::kSpi),
+  core::VirtManager manager(iodev::DeviceSpec{"spi0"},
                             no_predef, build.table, servers, vc);
 
   // Saturate both pools so every granted slot is consumed.

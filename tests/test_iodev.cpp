@@ -1,8 +1,10 @@
 // Unit tests for the I/O device models and the legacy FIFO controller.
 #include <gtest/gtest.h>
 
-#include "iodev/device.hpp"
+#include "common/check.hpp"
+#include "core/hypervisor.hpp"
 #include "iodev/fifo_controller.hpp"
+#include "workload/automotive.hpp"
 
 namespace ioguard::iodev {
 namespace {
@@ -22,31 +24,11 @@ workload::Job make_job(std::uint32_t id, Slot release, Slot deadline,
 }
 
 TEST(DeviceCatalog, ContainsAllKinds) {
-  EXPECT_EQ(device_catalog().size(), 7u);
-  EXPECT_EQ(device_spec(DeviceKind::kEthernet).bandwidth_bps, 1'000'000'000u);
-  EXPECT_EQ(device_spec(DeviceKind::kFlexRay).bandwidth_bps, 10'000'000u);
-  EXPECT_EQ(std::string(to_string(DeviceKind::kSpi)), "spi");
-}
-
-TEST(DeviceService, EthernetFrameTiming) {
-  const auto& eth = device_spec(DeviceKind::kEthernet);
-  // 1500 B at 1 Gbps = 12 us = 1200 cycles, plus 100 fixed = 13 us.
-  EXPECT_EQ(service_cycles(eth, 1500), 100u + 1200u);
-  EXPECT_EQ(service_slots(eth, 1500), 2u);  // 10 us slots
-}
-
-TEST(DeviceService, FlexRayIsSlow) {
-  const auto& fr = device_spec(DeviceKind::kFlexRay);
-  // 128 B at 10 Mbps = 102.4 us.
-  const Cycle c = service_cycles(fr, 128);
-  EXPECT_NEAR(static_cast<double>(c), 200.0 + 10240.0, 1.0);
-  EXPECT_GE(service_slots(fr, 128), 11u);  // >= 104 us in 10 us slots
-}
-
-TEST(DeviceService, GpioHasNoSerialization) {
-  const auto& gpio = device_spec(DeviceKind::kGpio);
-  EXPECT_EQ(service_cycles(gpio, 4), gpio.fixed_op_cycles);
-  EXPECT_EQ(service_slots(gpio, 4), 1u);
+  // The case study's four devices, by workload::CaseStudyDevice id.
+  const char* names[] = {"eth0", "flexray0", "can0", "spi0"};
+  for (std::uint32_t d = 0; d < workload::kCaseStudyDeviceCount; ++d)
+    EXPECT_EQ(core::case_study_device_spec(DeviceId{d}).name, names[d]);
+  EXPECT_THROW((void)core::case_study_device_spec(DeviceId{4}), CheckFailure);
 }
 
 TEST(FifoController, ServesInArrivalOrder) {

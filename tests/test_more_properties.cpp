@@ -169,7 +169,7 @@ TEST_P(BuilderConservation, PreloadMarkingPreservesDeviceUtilization) {
 
   for (std::size_t d = 0; d < workload::kCaseStudyDeviceCount; ++d) {
     const DeviceId dev{static_cast<std::uint32_t>(d)};
-    const double u = wl.tasks.utilization_on(dev);
+    const double u = wl.tasks.filter_device(dev).utilization();
     // Snapping rescales WCETs, so the device total stays near the target.
     EXPECT_NEAR(u, cfg.target_utilization, 0.10)
         << "device " << d << " preload " << cfg.preload_fraction;

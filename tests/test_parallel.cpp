@@ -152,7 +152,7 @@ TEST(ParallelRunner, RunPointAggregatesIdenticalAcrossJobCounts) {
   EXPECT_EQ(a.successes, b.successes);
   EXPECT_EQ(a.goodput_mbps.count(), b.goodput_mbps.count());
   EXPECT_EQ(a.goodput_mbps.mean(), b.goodput_mbps.mean());
-  EXPECT_EQ(a.goodput_mbps.variance(), b.goodput_mbps.variance());
+  EXPECT_EQ(a.goodput_mbps.raw().m2, b.goodput_mbps.raw().m2);
   EXPECT_EQ(a.busy_frac.mean(), b.busy_frac.mean());
   EXPECT_EQ(a.critical_miss_rate.mean(), b.critical_miss_rate.mean());
 }

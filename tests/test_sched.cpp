@@ -12,6 +12,7 @@
 #include "core/hypervisor.hpp"
 #include "golden.hpp"
 #include "sched/admission.hpp"
+#include "sched_oracles.hpp"
 #include "sched/edf_ref.hpp"
 #include "sched/mcs_admission.hpp"
 #include "sched/sbf.hpp"

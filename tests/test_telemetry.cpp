@@ -31,7 +31,7 @@ TEST(MetricsRegistry, CounterSeriesAreDistinctPerLabels) {
   reg.counter("jobs_total", {{"vm", "1"}}).inc();
   EXPECT_EQ(reg.counter("jobs_total", {{"vm", "0"}}).value(), 3u);
   EXPECT_EQ(reg.counter("jobs_total", {{"vm", "1"}}).value(), 1u);
-  EXPECT_EQ(reg.size(), 2u);
+  EXPECT_EQ(reg.entries().size(), 2u);
 }
 
 TEST(MetricsRegistry, GaugeKeepsLastWrite) {
