@@ -8,6 +8,10 @@ namespace ioguard::sched {
 
 namespace {
 
+/// Longest hyper-period the slack measures walk when Theorem 2 or 4 gives no
+/// check bound (over-utilized or zero slack).
+constexpr Slot kWindowCap = Slot{1} << 22;
+
 /// Scales every WCET by alpha (ceil), clamped to the deadline.
 workload::TaskSet scale_wcets(const workload::TaskSet& tasks, double alpha) {
   workload::TaskSet out;
@@ -56,7 +60,12 @@ StatusOr<SlotDelta> min_slack(const ServerParams& server,
     bound = *b;
   } else {
     // Over-utilized: inspect a few hyper-periods to find the violation.
-    bound = 4 * vm_tasks.hyperperiod(Slot{1} << 22) + 1;
+    const auto h = vm_tasks.hyperperiod(kWindowCap);
+    if (!h)
+      return OutOfRangeError(
+          "no check bound and the task periods' lcm exceeds 2^22 slots: no "
+          "window to measure the slack over");
+    bound = 4 * *h + 1;
   }
   // Always sample at least every task's first deadline.
   for (const auto& tau : vm_tasks.tasks())
@@ -102,8 +111,14 @@ StatusOr<SlotDelta> global_min_slack(const TableSupply& supply,
     bound = *b;
   } else {
     Slot l = supply.hyperperiod();
-    for (const auto& g : servers)
-      l = workload::checked_lcm(l, g.pi, Slot{1} << 22);
+    for (const auto& g : servers) {
+      const auto next = workload::lcm_within(l, g.pi, kWindowCap);
+      if (!next)
+        return OutOfRangeError(
+            "no check bound and lcm(H, Pi...) exceeds 2^22 slots: no window "
+            "to measure the slack over");
+      l = *next;
+    }
     bound = l + 1;
   }
 

@@ -33,7 +33,8 @@ namespace ioguard::sched {
 /// Minimum supply-minus-demand slack (in slots) of the VM-level test over
 /// all demand step points up to the Theorem 4 bound. Negative values report
 /// the worst violation. kFailedPrecondition when the task set is empty
-/// (no instant to measure).
+/// (no instant to measure); kOutOfRange when there is no Theorem 4 bound and
+/// the periods' lcm exceeds 2^22 slots (no window to measure over).
 [[nodiscard]] StatusOr<SlotDelta> min_slack(const ServerParams& server,
                                             const workload::TaskSet& vm_tasks);
 
@@ -44,7 +45,8 @@ namespace ioguard::sched {
 
 /// Global-layer slack: minimum of sbf(sigma, t) - sum dbf(Gamma_i, t) over
 /// the Theorem 2 window. Negative values report the worst violation.
-/// kFailedPrecondition when `servers` is empty.
+/// kFailedPrecondition when `servers` is empty; kOutOfRange when there is no
+/// Theorem 2 bound and lcm(H, Pi...) exceeds 2^22 slots.
 [[nodiscard]] StatusOr<SlotDelta> global_min_slack(
     const TableSupply& supply, const std::vector<ServerParams>& servers);
 

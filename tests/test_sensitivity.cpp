@@ -104,6 +104,17 @@ TEST(MinSlack, EmptySetIsFailedPrecondition) {
   EXPECT_EQ(slack.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(MinSlack, WindowPastTheLcmCapIsOutOfRange) {
+  // The check bound does not fit 64 bits, so min_slack falls back to a few
+  // hyper-periods, and lcm(2^40, 2^45) passes the 2^22-slot cap.
+  workload::TaskSet ts;
+  ts.add(task(1, Slot{1} << 40, 1098412116147, Slot{1} << 40));
+  ts.add(task(2, Slot{1} << 45, 1, 1));
+  const auto slack = min_slack({1000, 999}, ts);
+  ASSERT_FALSE(slack.ok());
+  EXPECT_EQ(slack.status().code(), StatusCode::kOutOfRange);
+}
+
 TEST(MinTheta, MatchesDirectSearch) {
   workload::TaskSet ts;
   ts.add(task(0, 100, 10, 80));
@@ -133,6 +144,16 @@ TEST(GlobalSlack, DetectsViolationMagnitude) {
   const auto good = global_min_slack(supply, {{10, 3}});
   ASSERT_TRUE(good.ok());
   EXPECT_GE(*good, 0);
+}
+
+TEST(GlobalSlack, WindowPastTheLcmCapIsOutOfRange) {
+  TimeSlotTable t(10);
+  for (Slot s = 0; s < 5; ++s) t.reserve(s, TaskId{0});
+  TableSupply supply(t);  // bandwidth 0.5
+  // Demand 0.7 leaves no Theorem 2 bound, and lcm(10, 1000003) passes 2^22.
+  const auto slack = global_min_slack(supply, {{1000003, 700002}});
+  ASSERT_FALSE(slack.ok());
+  EXPECT_EQ(slack.status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(GlobalSlack, AgreesWithTheorem1) {
