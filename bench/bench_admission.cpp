@@ -6,7 +6,7 @@
 
 #include <iostream>
 
-#include "common/env.hpp"
+#include "bench_json.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "sched/admission.hpp"
@@ -53,8 +53,7 @@ workload::TaskSet random_vm_tasks(Rng& rng, std::size_t n, double util) {
 }
 
 void print_acceptance() {
-  const std::size_t samples =
-      static_cast<std::size_t>(env_int("IOGUARD_ADM_SAMPLES", 200));
+  const std::size_t samples = bench::env_count("IOGUARD_ADM_SAMPLES", 200);
   Rng rng(4242);
 
   std::cout << "=== Admission: acceptance ratio vs utilization (Theorems "
